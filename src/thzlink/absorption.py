@@ -166,13 +166,16 @@ def medium_kappa(medium: Medium, f: float, env: Environment,
 
 
 def kappa_over_grid(medium: Medium, freqs, env: Environment,
-                    wing_cutoff: float | None = DEFAULT_WING_CUTOFF,
-                    backend: str | None = None) -> np.ndarray:
-    """Total kappa [1/m] on a frequency grid via the hot kernel."""
+                    wing_cutoff: float | None = DEFAULT_WING_CUTOFF
+                    ) -> np.ndarray:
+    """Total kappa [1/m] on a frequency grid via the hot kernel.
+
+    Raises DomainError for a medium with lines when a grid frequency is
+    <= 0 or a line's pressure-shifted center is <= 0.
+    """
     packed = kernels.pack_lines(medium)
     cutoff = np.inf if wing_cutoff is None else float(wing_cutoff)
-    return kernels.kappa_totals(freqs, packed, env.t_s, env.p, cutoff,
-                                backend=backend)
+    return kernels.kappa_totals(freqs, packed, env.t_s, env.p, cutoff)
 
 
 def maa(medium: Medium, f: float, env: Environment, d: float,

@@ -18,7 +18,8 @@ from .absorption import (DEFAULT_WING_CUTOFF, Environment, kappa_over_grid,
                          medium_kappa)
 from .constants import BOLTZMANN, LIGHT_SPEED, T_REF
 from .errors import ApproximationRegimeError, DomainError, ValidationError
-from .propagation import LinkGeometry, two_ray_argument, _checked_sine
+from .propagation import (LinkGeometry, _check_distance, _checked_sine,
+                          two_ray_argument)
 from .spectro import Medium
 
 
@@ -126,17 +127,18 @@ def noise_power(medium: Medium, env: Environment, band: BandPlan,
 
 def psi_coefficients(geom: LinkGeometry, medium: Medium, env: Environment,
                      band: BandPlan, d: float,
-                     wing_cutoff: float | None = DEFAULT_WING_CUTOFF,
-                     backend: str | None = None) -> np.ndarray:
+                     wing_cutoff: float | None = DEFAULT_WING_CUTOFF
+                     ) -> np.ndarray:
     """Noise-loss floor Psi_k [W] of every subband.
 
     Equals k_B * L(f_k) * T_tot(f_k) * delta_f; opaque subbands saturate
     to +inf, which the water-filling solver treats as never-funded.
 
-    Raises TwoRayNullError naming the subband whose center frequency sits
-    on a two-ray null.
+    Raises DomainError unless 0 < d <= geom.d_c, and TwoRayNullError
+    naming the subband whose center frequency sits on a two-ray null.
     """
-    kappa = kappa_over_grid(medium, band.f_k, env, wing_cutoff, backend)
+    _check_distance(geom, d)
+    kappa = kappa_over_grid(medium, band.f_k, env, wing_cutoff)
     eps = medium.epsilon_r
     csc2 = np.empty(band.k)
     for k_index, f in enumerate(band.f_k):

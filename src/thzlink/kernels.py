@@ -1,44 +1,31 @@
-"""Hot numeric kernels: absorption coefficient over frequency grids.
+"""Hot numeric kernel: absorption coefficient over frequency grids.
 
 Summing the line-shape contribution of every catalog line at every grid
-frequency dominates sweep runtime, so that loop lives here in two
-equivalent implementations: a numba ``@njit`` kernel and a vectorized pure
-numpy fallback. The active default is chosen at import time from the
-``THZLINK_NUMBA`` environment variable:
-
-    THZLINK_NUMBA=0|false|off  force the numpy path
-    anything else (or unset)   use numba when importable
-
-``benchmarks/bench_kernels.py`` times the two paths against each other.
-Both accumulate per frequency independently, so results are deterministic
-for a given backend.
+frequency dominates sweep runtime, so that sum lives here as one
+vectorized numpy evaluation over a lines x frequencies array. It is the
+same Van Vleck-Weisskopf math as the scalar reference functions in
+:mod:`thzlink.absorption` and rejects the same out-of-domain inputs.
+Each frequency accumulates independently, so results are deterministic.
 """
 
 from __future__ import annotations
 
-import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import (AVOGADRO, BOLTZMANN, GAS_CONSTANT_ATM, PLANCK, P_REF,
-                        T_REF, T_STP)
+from .constants import (BOLTZMANN, GAS_CONSTANT_ATM, PLANCK, P_REF, T_REF,
+                        T_STP)
+from .errors import DomainError
 
-_FLAG = os.environ.get("THZLINK_NUMBA", "auto").strip().lower()
-
-try:
-    import numba
-    NUMBA_AVAILABLE = True
-except ImportError:
-    NUMBA_AVAILABLE = False
-
-NUMBA_ENABLED = NUMBA_AVAILABLE and _FLAG not in ("0", "false", "off")
+# Kept as a constant, like active_backend(), because the benchmark's run
+# provenance records both.
+NUMBA_AVAILABLE = False
 
 
 @dataclass(frozen=True)
 class LineArrays:
-    """Struct-of-arrays view of a medium's lines, ready for the kernels.
+    """Struct-of-arrays view of a medium's lines, ready for the kernel.
 
     ``q`` holds the mixing ratio of each line's own species.
     """
@@ -66,58 +53,33 @@ def pack_lines(medium) -> LineArrays:
     return LineArrays(*(np.ascontiguousarray(cols[i]) for i in range(7)))
 
 
-def _kappa_totals_py(freqs, f_c0, intensity, alpha_air, alpha_self,
-                     temp_exponent, pressure_shift, q, t_s, p, cutoff):
-    n_freq = freqs.shape[0]
-    n_line = f_c0.shape[0]
-    out = np.zeros(n_freq)
-    f_c = np.empty(n_line)
-    alpha = np.empty(n_line)
-    amp = np.empty(n_line)
-    tanh_fc = np.empty(n_line)
-    a = PLANCK / (2.0 * BOLTZMANN * t_s)
-    for j in range(n_line):
-        f_c[j] = f_c0[j] + pressure_shift[j] * (p / P_REF)
-        alpha[j] = (((1.0 - q[j]) * alpha_air[j] + q[j] * alpha_self[j])
-                    * (p / P_REF) * (T_REF / t_s) ** temp_exponent[j])
-        # one Avogadro factor total: it lives inside `intensity` [m^2 Hz/mol],
-        # so the volumetric density here is molar [mol/m^3]
-        amp[j] = ((p / P_REF) * (T_STP / t_s)
-                  * (p * q[j] / (GAS_CONSTANT_ATM * t_s)) * intensity[j])
-        tanh_fc[j] = math.tanh(a * f_c[j])
-    for i in range(n_freq):
-        f = freqs[i]
-        tanh_f = math.tanh(a * f)
-        acc = 0.0
-        for j in range(n_line):
-            fc = f_c[j]
-            if abs(f - fc) > cutoff:
-                continue
-            al2 = alpha[j] * alpha[j]
-            dm = f - fc
-            dp = f + fc
-            shape = (alpha[j] / math.pi) * (f / fc) * (
-                1.0 / (dm * dm + al2) + 1.0 / (dp * dp + al2))
-            acc += amp[j] * (f / fc) * (tanh_f / tanh_fc[j]) * shape
-        out[i] = acc
-    return out
+def kappa_totals(freqs, lines: LineArrays, t_s: float, p: float,
+                 cutoff: float = np.inf) -> np.ndarray:
+    """Total absorption coefficient [1/m] at each grid frequency.
 
-
-if NUMBA_AVAILABLE:
-    # compilation is lazy, so wrapping is cheap even when the numpy path
-    # is the active default
-    _kappa_totals_jit = numba.njit(cache=True)(_kappa_totals_py)
-
-
-def kappa_totals_numpy(freqs, lines: LineArrays, t_s: float, p: float,
-                       cutoff: float) -> np.ndarray:
-    """Vectorized fallback: identical math to the jitted kernel."""
-    freqs = np.asarray(freqs, dtype=np.float64)
+    Lines farther than ``cutoff`` [Hz] from a frequency contribute zero
+    there. With no lines the result is all zeros; otherwise a frequency
+    that is not > 0, or a line whose pressure-shifted center is <= 0,
+    raises DomainError, as the scalar reference does.
+    """
+    freqs = np.ascontiguousarray(freqs, dtype=np.float64)
     if len(lines) == 0:
         return np.zeros(freqs.shape)
+    # argmin is the cheapest scan here, and it returns a NaN first
+    if freqs.size:
+        lowest = float(freqs[freqs.argmin()])
+        if not lowest > 0:
+            raise DomainError(f"frequency must be > 0, got {lowest!r}")
     f_c = lines.f_c0 + lines.pressure_shift * (p / P_REF)
+    j = int(f_c.argmin())
+    if f_c[j] <= 0:
+        raise DomainError(
+            f"pressure shift drives resonance of line {j} to "
+            f"{float(f_c[j])!r} Hz at p={p} atm")
     alpha = (((1.0 - lines.q) * lines.alpha_air + lines.q * lines.alpha_self)
              * (p / P_REF) * (T_REF / t_s) ** lines.temp_exponent)
+    # one Avogadro factor total: it lives inside `intensity` [m^2 Hz/mol],
+    # so the volumetric density here is molar [mol/m^3]
     amp = ((p / P_REF) * (T_STP / t_s)
            * (p * lines.q / (GAS_CONSTANT_ATM * t_s)) * lines.intensity)
     a = PLANCK / (2.0 * BOLTZMANN * t_s)
@@ -134,33 +96,12 @@ def kappa_totals_numpy(freqs, lines: LineArrays, t_s: float, p: float,
     return contrib.sum(axis=0)
 
 
-def kappa_totals(freqs, lines: LineArrays, t_s: float, p: float,
-                 cutoff: float = np.inf, backend: str | None = None
-                 ) -> np.ndarray:
-    """Total absorption coefficient [1/m] at each grid frequency.
-
-    ``backend`` overrides the import-time default: "numba" or "numpy".
-    """
-    freqs = np.ascontiguousarray(freqs, dtype=np.float64)
-    if backend is None:
-        backend = "numba" if NUMBA_ENABLED else "numpy"
-    if backend == "numba":
-        if not NUMBA_AVAILABLE:
-            raise RuntimeError("numba backend requested but not importable")
-        return _kappa_totals_jit(
-            freqs, lines.f_c0, lines.intensity, lines.alpha_air,
-            lines.alpha_self, lines.temp_exponent, lines.pressure_shift,
-            lines.q, t_s, p, cutoff)
-    if backend == "numpy":
-        return kappa_totals_numpy(freqs, lines, t_s, p, cutoff)
-    raise ValueError(f"unknown backend {backend!r}")
-
-
 def active_backend() -> str:
-    return "numba" if NUMBA_ENABLED else "numpy"
+    """Name of the grid kernel, as the benchmark's provenance records it."""
+    return "numpy"
 
 
 __all__ = [
-    "LineArrays", "pack_lines", "kappa_totals", "kappa_totals_numpy",
-    "active_backend", "NUMBA_AVAILABLE", "NUMBA_ENABLED",
+    "LineArrays", "pack_lines", "kappa_totals", "active_backend",
+    "NUMBA_AVAILABLE",
 ]

@@ -123,6 +123,12 @@ def _checked_sine(argument: float, f: float | None = None,
     return s
 
 
+def _check_distance(geom: LinkGeometry, d: float):
+    if not 0 < d <= geom.d_c:
+        raise DomainError(
+            f"d must satisfy 0 < d <= d_c={geom.d_c!r}, got {d!r}")
+
+
 def dielectric_path_loss(geom: LinkGeometry, f: float, epsilon_r: float,
                          d: float | None = None) -> float:
     """Two-ray dielectric propagation loss (linear, > 0).
@@ -135,9 +141,8 @@ def dielectric_path_loss(geom: LinkGeometry, f: float, epsilon_r: float,
         raise DomainError(f"frequency must be > 0, got {f!r}")
     if d is None:
         d = geom.d
-    elif not 0 < d <= geom.d_c:
-        raise DomainError(
-            f"d must satisfy 0 < d <= d_c={geom.d_c!r}, got {d!r}")
+    else:
+        _check_distance(geom, d)
     argument = two_ray_argument(geom, f, epsilon_r, d)
     sine = _checked_sine(argument, f)
     spreading = 2.0 * math.pi * d * f / LIGHT_SPEED

@@ -26,16 +26,16 @@ from .spectro import Medium
 class Scenario:
     """One experiment configuration.
 
-    Defaults place two antennas 0.1 mm apart inside a 20 mm x 1 mm
-    package at 296 K and 1 atm; ``baseline`` empties the composition so
-    the proposed model degenerates to the conventional one.
+    ``p_t`` is the transmit power budget [W]; the default experiment's
+    values live in ``config.DEFAULT_SCENARIO``. ``baseline`` empties the
+    composition so the proposed model degenerates to the conventional one.
     """
 
     geom: LinkGeometry
     medium: Medium
     env: Environment
     band: BandPlan
-    p_t: float = 1.0e-3
+    p_t: float
     baseline: bool = False
 
     def __post_init__(self):

@@ -150,6 +150,15 @@ class TestSweep:
         assert "waterfilling" not in header
         assert "C_bps_proposed_flat" in header
 
+    @pytest.mark.parametrize("lo, hi", [("0", "1e-4"), ("1e-5", "1")])
+    def test_distance_outside_package_exits_2(self, capsys, lo, hi):
+        code, out, err = run(capsys, "sweep", "--axis", "distance",
+                             "--from", lo, "--to", hi)
+        assert code == 2
+        assert out == ""
+        assert "d must satisfy" in err
+        assert "Traceback" not in err
+
     def test_gap_marker_column(self, capsys):
         lo = repr(NULL_FREQUENCY)
         hi = repr(NULL_FREQUENCY * 1.0001)

@@ -1,13 +1,9 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
 from thzlink import kernels
 from thzlink.absorption import Environment, kappa_over_grid, medium_kappa
+from thzlink.errors import DomainError
 from thzlink.spectro import Medium
 
 
@@ -23,26 +19,9 @@ def test_pack_lines_respects_per_species_q(full_catalog):
         assert packed.f_c0[j] == line.f_c0
 
 
-def test_backends_agree(default_medium, env, rng):
-    freqs = rng.uniform(0.5e12, 3.5e12, size=500)
-    freqs.sort()
-    packed = kernels.pack_lines(default_medium)
-    via_numpy = kernels.kappa_totals(freqs, packed, env.t_s, env.p, np.inf,
-                                     backend="numpy")
-    if not kernels.NUMBA_AVAILABLE:
-        pytest.skip("numba not importable")
-    via_numba = kernels.kappa_totals(freqs, packed, env.t_s, env.p, np.inf,
-                                     backend="numba")
-    np.testing.assert_allclose(via_numba, via_numpy, rtol=1e-12)
-
-
-@pytest.mark.parametrize("backend", ["numpy", "numba"])
-def test_grid_matches_scalar_reference(default_medium, env, backend):
-    if backend == "numba" and not kernels.NUMBA_AVAILABLE:
-        pytest.skip("numba not importable")
+def test_grid_matches_scalar_reference(default_medium, env):
     freqs = np.linspace(0.9e12, 1.6e12, 37)
-    grid = kappa_over_grid(default_medium, freqs, env, wing_cutoff=None,
-                           backend=backend)
+    grid = kappa_over_grid(default_medium, freqs, env, wing_cutoff=None)
     for i, f in enumerate(freqs):
         scalar = medium_kappa(default_medium, float(f), env,
                               wing_cutoff=None).total_kappa
@@ -63,43 +42,15 @@ def test_empty_medium_gives_zeros(env):
     assert np.all(kappa_over_grid(medium, freqs, env) == 0.0)
 
 
-def _child_kernels(expr, numba_flag):
-    """Import thzlink.kernels as ``k`` in a fresh interpreter, print ``expr``.
-
-    The child imports this same thzlink: the directory holding the imported
-    package goes first on its ``PYTHONPATH`` (absolute, so the child's cwd
-    does not matter), ahead of whatever the parent has, and the child's
-    ``k.__file__`` is checked against the parent's. ``numba_flag`` sets
-    ``THZLINK_NUMBA``; ``None`` removes it so the child sees the default.
-    Returns the printed fields of ``expr``.
-    """
-    env = dict(os.environ)
-    pkg_root = str(Path(kernels.__file__).resolve().parents[2])
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (pkg_root, env.get("PYTHONPATH")) if p)
-    env.pop("THZLINK_NUMBA", None)
-    if numba_flag is not None:
-        env["THZLINK_NUMBA"] = numba_flag
-    code = f"import thzlink.kernels as k; print(k.__file__); print({expr})"
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True)
-    assert out.returncode == 0, (
-        f"child exited with {out.returncode}:\n{out.stderr}")
-    child_file, fields = out.stdout.splitlines()
-    assert Path(child_file).resolve() == Path(kernels.__file__).resolve()
-    return fields.split()
-
-
-def test_env_flag_selects_numpy_backend():
-    backend, available = _child_kernels(
-        "k.active_backend(), k.NUMBA_AVAILABLE", numba_flag="0")
-    assert backend == "numpy"
-    # flag disables dispatch, not importability
-    assert available == str(kernels.NUMBA_AVAILABLE)
-
-
-def test_default_backend_is_numba_when_available():
-    if not kernels.NUMBA_AVAILABLE:
-        pytest.skip("numba not importable")
-    [backend] = _child_kernels("k.active_backend()", numba_flag=None)
-    assert backend == "numba"
+def test_grid_rejects_what_scalar_rejects(default_medium, env, line_factory):
+    shifted = line_factory(f_c0=1.0e12, pressure_shift=-2.0e12)
+    shifted_medium = Medium(composition={shifted.species: 0.1},
+                            lines=(shifted,))
+    cases = [(default_medium, -1.0e12, "frequency must be > 0"),
+             (default_medium, 0.0, "frequency must be > 0"),
+             (shifted_medium, 1.0e12, "pressure shift drives resonance")]
+    for medium, f, message in cases:
+        with pytest.raises(DomainError, match=message):
+            medium_kappa(medium, f, env)
+        with pytest.raises(DomainError, match=message):
+            kappa_over_grid(medium, np.array([1.5e12, f]), env)

@@ -121,6 +121,12 @@ def test_distance_sweep_single_scheme(default_scenario):
                                    allocation="greedy")
 
 
+@pytest.mark.parametrize("d_range", [(0.0, 1.0e-4), (1.0e-5, 1.0)])
+def test_distance_sweep_outside_package_rejected(default_scenario, d_range):
+    with pytest.raises(DomainError, match="d must satisfy"):
+        sweep_capacity_vs_distance(default_scenario, d_range, 101)
+
+
 def test_determinism(default_scenario):
     a = sweep_vs_temperature(default_scenario, (250.0, 400.0), 7)
     b = sweep_vs_temperature(default_scenario, (250.0, 400.0), 7)
