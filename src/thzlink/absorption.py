@@ -171,11 +171,10 @@ def kappa_over_grid(medium: Medium, freqs, env: Environment,
     """Total kappa [1/m] on a frequency grid via the hot kernel.
 
     Raises DomainError for a medium with lines when a grid frequency is
-    <= 0 or a line's pressure-shifted center is <= 0.
+    not > 0 and finite, or a line's pressure-shifted center is <= 0.
     """
-    packed = kernels.pack_lines(medium)
     cutoff = np.inf if wing_cutoff is None else float(wing_cutoff)
-    return kernels.kappa_totals(freqs, packed, env.t_s, env.p, cutoff)
+    return kernels.kappa_totals(freqs, medium.packed, env.t_s, env.p, cutoff)
 
 
 def maa(medium: Medium, f: float, env: Environment, d: float,

@@ -17,9 +17,10 @@ import numpy as np
 from .absorption import (DEFAULT_WING_CUTOFF, Environment, kappa_over_grid,
                          medium_kappa)
 from .constants import BOLTZMANN, LIGHT_SPEED, T_REF
-from .errors import ApproximationRegimeError, DomainError, ValidationError
-from .propagation import (LinkGeometry, _check_distance, _checked_sine,
-                          two_ray_argument)
+from .errors import (ApproximationRegimeError, DomainError, TwoRayNullError,
+                     ValidationError)
+from .propagation import (NULL_SINE_TOLERANCE, LinkGeometry,
+                          _check_distance, two_ray_argument)
 from .spectro import Medium
 
 
@@ -125,6 +126,34 @@ def noise_power(medium: Medium, env: Environment, band: BandPlan,
     return BOLTZMANN * float(np.sum(model.t_tot)) * band.delta_f
 
 
+def psi_grid(geom: LinkGeometry, epsilon_r: float, f_k, kappa, d, t_s,
+             delta_f) -> tuple[np.ndarray, np.ndarray]:
+    """Noise-loss floors Psi [W] over a rows x subbands grid.
+
+    ``f_k`` and ``kappa`` are (K,) or (R, K); ``d``, ``t_s`` and
+    ``delta_f`` are scalars or (R, 1) columns; everything broadcasts to
+    (R, K). Opaque cells saturate to +inf. Also returns the mask of cells
+    whose subband center sits on a two-ray null, where the floor is
+    meaningless. Raises DomainError for a frequency that is not finite.
+    """
+    f_k = np.asarray(f_k, dtype=np.float64)
+    finite = np.isfinite(f_k)
+    if not finite.all():
+        raise DomainError(
+            f"frequency must be finite, got {float(f_k[~finite][0])!r}")
+    argument = (2.0 * math.pi * geom.h_t * geom.h_r * f_k
+                * math.sqrt(epsilon_r) / (LIGHT_SPEED * d))
+    sine = np.sin(argument)
+    null = np.abs(sine) < NULL_SINE_TOLERANCE
+    spreading2 = (2.0 * math.pi * d * f_k / LIGHT_SPEED) ** 2
+    with np.errstate(divide="ignore", over="ignore"):
+        csc2 = 1.0 / (sine * sine)
+        bracket = (t_s + T_REF) * np.exp(kappa * d) - T_REF
+        psi = (BOLTZMANN * epsilon_r / (geom.g_t * geom.g_r)
+               * spreading2 * delta_f * csc2 * bracket)
+    return psi, np.broadcast_to(null, psi.shape)
+
+
 def psi_coefficients(geom: LinkGeometry, medium: Medium, env: Environment,
                      band: BandPlan, d: float,
                      wing_cutoff: float | None = DEFAULT_WING_CUTOFF
@@ -135,74 +164,98 @@ def psi_coefficients(geom: LinkGeometry, medium: Medium, env: Environment,
     to +inf, which the water-filling solver treats as never-funded.
 
     Raises DomainError unless 0 < d <= geom.d_c, and TwoRayNullError
-    naming the subband whose center frequency sits on a two-ray null.
+    naming the first subband whose center frequency sits on a two-ray
+    null.
     """
     _check_distance(geom, d)
     kappa = kappa_over_grid(medium, band.f_k, env, wing_cutoff)
-    eps = medium.epsilon_r
-    csc2 = np.empty(band.k)
-    for k_index, f in enumerate(band.f_k):
-        sine = _checked_sine(two_ray_argument(geom, f, eps, d), f, k_index)
-        csc2[k_index] = 1.0 / (sine * sine)
-    spreading2 = (2.0 * math.pi * d * band.f_k / LIGHT_SPEED) ** 2
-    with np.errstate(over="ignore"):
-        bracket = (env.t_s + T_REF) * np.exp(kappa * d) - T_REF
-    return (BOLTZMANN * eps / (geom.g_t * geom.g_r)
-            * spreading2 * band.delta_f * csc2 * bracket)
+    psi, null = psi_grid(geom, medium.epsilon_r, band.f_k, kappa, d,
+                         env.t_s, band.delta_f)
+    if null.any():
+        k_index = int(null.argmax())
+        f = float(band.f_k[k_index])
+        raise TwoRayNullError(two_ray_argument(geom, f, medium.epsilon_r, d),
+                              frequency=f, subband=k_index)
+    return psi
+
+
+def _check_budget(p_t: float):
+    if not 0 <= p_t < math.inf:
+        raise DomainError(f"power budget must be finite and >= 0, got {p_t!r}")
+
+
+def water_filling_grid(psi, p_t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact water-filling of every row of a rows x subbands floor grid.
+
+    The water level solves sum((theta - psi)^+) = p_t in closed form:
+    with a row's floors sorted ascending, the level implied by funding the
+    m cheapest floors is (p_t + sum of those floors)/m, and the optimal
+    active set is the largest m whose implied level still exceeds its
+    m-th floor. No iteration tolerance is involved.
+
+    Returns the (R, K) allocations and the (R,) water levels. A zero
+    budget yields all-zero allocations with each level at the row's
+    lowest floor. Raises DomainError for a budget that is negative or not
+    finite, a floor that is not > 0, or a row whose floors are all
+    infinite.
+    """
+    psi = np.asarray(psi, dtype=np.float64)
+    if not np.all(psi > 0):
+        raise DomainError("every psi entry must be > 0")
+    _check_budget(p_t)
+    if p_t == 0:
+        return np.zeros_like(psi), psi.min(axis=-1)
+    psi_sorted = np.sort(psi, axis=-1)
+    m = np.arange(1, psi.shape[-1] + 1)
+    with np.errstate(invalid="ignore"):
+        theta_by_m = (p_t + np.cumsum(psi_sorted, axis=-1)) / m
+    feasible = theta_by_m > psi_sorted
+    if not feasible.any(axis=-1).all():
+        raise DomainError("no fundable subband (all floors infinite)")
+    # the active set is the largest feasible m of each row
+    m_star = psi.shape[-1] - feasible[..., ::-1].argmax(axis=-1)
+    # The level is recomputed from a pairwise sum (np.sum) of the funded
+    # floors: the sequential rounding of the cumsum shows when the budget
+    # is far below the floors, since p_k = theta - psi_k then cancels.
+    funded = np.empty(m_star.shape)
+    for count in set(m_star.tolist()):
+        rows = m_star == count
+        funded[rows] = psi_sorted[rows, :count].sum(axis=-1)
+    theta = (p_t + funded) / m_star
+    return np.maximum(theta[..., None] - psi, 0.0), theta
+
+
+def allocation_capacity_grid(p_k, psi, delta_f) -> np.ndarray:
+    """Shannon capacity [bits/s] of each row of explicit allocations.
+
+    ``delta_f`` is a scalar or one subband width per row (R,).
+    """
+    p_k = np.asarray(p_k, dtype=np.float64)
+    funded = p_k > 0
+    ratio = np.divide(p_k, psi, out=np.zeros(funded.shape), where=funded)
+    return delta_f * np.sum(np.log2(1.0 + ratio), axis=-1)
 
 
 def water_filling(psi, p_t: float, delta_f: float | None = None
                   ) -> PowerAllocation:
-    """Exact water-filling over noise-loss floors psi [W].
+    """Exact water-filling over one row of noise-loss floors psi [W].
 
-    The water level solves sum((theta - psi)^+) = p_t in closed form:
-    with the floors sorted ascending, the level implied by funding the m
-    cheapest floors is (p_t + sum of those floors)/m, and the optimal
-    active set is the largest m whose implied level still exceeds its
-    m-th floor. No iteration tolerance is involved.
-
-    A zero budget yields the all-zero allocation with the level at the
-    lowest floor.
+    See :func:`water_filling_grid`; this is its one-row view.
     """
     psi = np.asarray(psi, dtype=np.float64)
     if psi.ndim != 1 or psi.size == 0:
         raise DomainError("psi must be a non-empty 1-D array")
-    if not np.all(psi > 0):
-        raise DomainError("every psi entry must be > 0")
-    if p_t < 0:
-        raise DomainError(f"power budget must be >= 0, got {p_t!r}")
-
-    if p_t == 0:
-        allocation = np.zeros_like(psi)
-        theta = float(np.min(psi))
-    else:
-        order = np.argsort(psi, kind="stable")
-        psi_sorted = psi[order]
-        m = np.arange(1, psi.size + 1)
-        with np.errstate(invalid="ignore"):
-            theta_by_m = (p_t + np.cumsum(psi_sorted)) / m
-        feasible = np.nonzero(theta_by_m > psi_sorted)[0]
-        if feasible.size == 0:
-            raise DomainError("no fundable subband (all floors infinite)")
-        m_star = int(feasible[-1]) + 1
-        theta = float((p_t + np.sum(psi_sorted[:m_star])) / m_star)
-        allocation = np.maximum(theta - psi, 0.0)
-
+    allocation, theta = water_filling_grid(psi[None, :], p_t)
     capacity = None
     if delta_f is not None:
-        capacity = allocation_capacity(allocation, psi, delta_f)
-    return PowerAllocation(p_k=allocation, theta=theta, psi_k=psi,
-                           capacity_bits_per_s=capacity)
+        capacity = allocation_capacity(allocation[0], psi, delta_f)
+    return PowerAllocation(p_k=allocation[0], theta=float(theta[0]),
+                           psi_k=psi, capacity_bits_per_s=capacity)
 
 
 def allocation_capacity(p_k, psi, delta_f: float) -> float:
     """Shannon capacity [bits/s] of an explicit subband allocation."""
-    p_k = np.asarray(p_k, dtype=np.float64)
-    psi = np.asarray(psi, dtype=np.float64)
-    ratio = np.zeros_like(psi)
-    funded = p_k > 0
-    ratio[funded] = p_k[funded] / psi[funded]
-    return float(delta_f * np.sum(np.log2(1.0 + ratio)))
+    return float(allocation_capacity_grid(p_k, psi, delta_f))
 
 
 def channel_capacity(geom: LinkGeometry, medium: Medium, env: Environment,
@@ -220,8 +273,7 @@ def flat_allocation_capacity(geom: LinkGeometry, medium: Medium,
                              wing_cutoff: float | None = DEFAULT_WING_CUTOFF
                              ) -> PowerAllocation:
     """Capacity with the budget split evenly across subbands."""
-    if p_t < 0:
-        raise DomainError(f"power budget must be >= 0, got {p_t!r}")
+    _check_budget(p_t)
     psi = psi_coefficients(geom, medium, env, band, d, wing_cutoff)
     allocation = np.full(band.k, p_t / band.k)
     return PowerAllocation(
@@ -265,7 +317,8 @@ def approx_capacity_small_antenna(geom: LinkGeometry, medium: Medium,
 __all__ = [
     "BandPlan", "NoiseModel", "PowerAllocation",
     "molecular_noise_temperature", "noise_model", "noise_power",
-    "psi_coefficients", "water_filling", "allocation_capacity",
-    "channel_capacity", "flat_allocation_capacity",
+    "psi_grid", "psi_coefficients", "water_filling_grid", "water_filling",
+    "allocation_capacity_grid", "allocation_capacity", "channel_capacity",
+    "flat_allocation_capacity",
     "approx_capacity_small_antenna", "APPROX_REGIME_LIMIT",
 ]

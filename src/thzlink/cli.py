@@ -214,9 +214,12 @@ def cmd_capacity(args) -> int:
 
 def _parse_float_list(text: str, flag: str) -> list[float]:
     try:
-        return [float(part) for part in text.split(",") if part.strip()]
+        values = [float(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
         raise ConfigError(f"{flag} expects comma-separated numbers: {exc}")
+    if not values:
+        raise ConfigError(f"{flag} expects at least one number")
+    return values
 
 
 def render_csv(result: SweepResult) -> str:

@@ -107,6 +107,8 @@ def phase_difference(geom: LinkGeometry, f: float, epsilon_r: float) -> float:
 def two_ray_argument(geom: LinkGeometry, f: float, epsilon_r: float,
                      d: float | None = None) -> float:
     """Argument of the two-ray sine (half the phase difference) [rad]."""
+    if not math.isfinite(f):
+        raise DomainError(f"frequency must be finite, got {f!r}")
     if not epsilon_r >= 1.0:
         raise DomainError(f"epsilon_r must be >= 1, got {epsilon_r!r}")
     if d is None:
@@ -134,8 +136,9 @@ def dielectric_path_loss(geom: LinkGeometry, f: float, epsilon_r: float,
     """Two-ray dielectric propagation loss (linear, > 0).
 
     Raises TwoRayNullError when the sine argument lands on a multiple of
-    pi, where the model itself diverges; ``d`` overrides ``geom.d`` for
-    distance sweeps.
+    pi, where the model itself diverges, and DomainError for a frequency
+    that is not > 0 and finite; ``d`` overrides ``geom.d`` for distance
+    sweeps.
     """
     if not f > 0:
         raise DomainError(f"frequency must be > 0, got {f!r}")

@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
+from . import kernels
 from .constants import AVOGADRO, WAVENUMBER_TO_HZ
 from .errors import CatalogParseError, ValidationError
 
@@ -262,6 +264,11 @@ class Medium:
 
     def q_for(self, line: SpectralLine) -> float:
         return self.composition[line.species]
+
+    @cached_property
+    def packed(self) -> "kernels.LineArrays":
+        """The lines as the kernel's arrays, packed once on first use."""
+        return kernels.pack_lines(self)
 
     def without_absorption(self) -> "Medium":
         """The conventional pure-propagation baseline: same permittivity,

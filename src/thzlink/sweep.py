@@ -9,17 +9,27 @@ recorded as explicit gap rows rather than interpolated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .absorption import (Environment, attenuation_from_optical_depth,
+from . import kernels
+from .absorption import (DEFAULT_OVERFLOW_CAP, DEFAULT_WING_CUTOFF,
+                         Environment, attenuation_from_optical_depth,
                          kappa_over_grid)
-from .capacity import BandPlan, channel_capacity, flat_allocation_capacity
+from .capacity import (BandPlan, allocation_capacity_grid,
+                       channel_capacity,  # noqa: F401 (importable from here)
+                       psi_grid, water_filling_grid)
 from .constants import ATM_IN_KPA
 from .errors import DomainError, TwoRayNullError
-from .propagation import LinkGeometry, db, dielectric_path_loss
+from .propagation import (LinkGeometry, _check_distance, db,
+                          dielectric_path_loss)
 from .spectro import Medium
+
+# Rows x subbands cells that one block of a capacity grid evaluates at
+# once, which bounds its temporaries; the kernel blocks its own calls.
+GRID_BLOCK_CELLS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -39,8 +49,8 @@ class Scenario:
     baseline: bool = False
 
     def __post_init__(self):
-        if not self.p_t >= 0:
-            raise DomainError(f"p_t must be >= 0, got {self.p_t!r}")
+        if not 0 <= self.p_t < math.inf:
+            raise DomainError(f"p_t must be finite and >= 0, got {self.p_t!r}")
         if self.baseline and self.medium.composition:
             object.__setattr__(self, "medium",
                                self.medium.without_absorption())
@@ -68,9 +78,10 @@ class SweepResult:
 
 def _axis_values(lo: float, hi: float, n_points: int, log_axis: bool
                  ) -> np.ndarray:
-    if not hi > lo:
+    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
         raise DomainError(
-            f"axis range must satisfy from < to, got [{lo!r}, {hi!r}]")
+            f"axis range must be finite and satisfy from < to, got "
+            f"[{lo!r}, {hi!r}]")
     if n_points < 1:
         raise DomainError(f"n_points must be >= 1, got {n_points!r}")
     if n_points == 1:
@@ -132,108 +143,161 @@ def sweep_pathloss_vs_frequency(scenario: Scenario,
     return result
 
 
+def _empty_cells(n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """One column's values and gap reasons; a non-empty reason is a gap."""
+    return np.full(n_rows, np.nan), np.full(n_rows, "", dtype=object)
+
+
+def _filled(result: SweepResult, xs, cells) -> SweepResult:
+    """Append one row per axis value from per-column (values, reasons)."""
+    columns = [(column, cells[column][0].tolist(), cells[column][1])
+               for column in result.columns]
+    for i, x in enumerate(xs.tolist()):
+        row: dict[str, float] = {}
+        for column, values, reasons in columns:
+            if reasons[i]:
+                result.gaps.append((x, column, reasons[i]))
+            else:
+                row[column] = values[i]
+        result.points.append((x, row))
+    return result
+
+
+def _capacity_cells(scenario: Scenario, medium: Medium, schemes, f_k, kappa,
+                    d, t_s, delta_f) -> dict[str, tuple]:
+    """Capacity [bits/s] of every row of a subband grid, per scheme.
+
+    Each argument is shared by all rows (a scalar, or (K,) for ``f_k`` and
+    ``kappa``) or given per row ((R, 1), or (R, K)). Rows are evaluated in
+    blocks of at most GRID_BLOCK_CELLS cells; a row with a subband on a
+    two-ray null becomes a gap cell.
+    """
+    grid = (f_k, kappa, d, t_s, delta_f)
+    n_rows = max(len(x) for x in grid if np.ndim(x) == 2)
+    cells = {scheme: _empty_cells(n_rows) for scheme in schemes}
+    step = max(1, GRID_BLOCK_CELLS // np.shape(f_k)[-1])
+    for start in range(0, n_rows, step):
+        rows = slice(start, start + step)
+        block = [x[rows] if np.ndim(x) == 2 else x for x in grid]
+        psi, null = psi_grid(scenario.geom, medium.epsilon_r, *block)
+        ok = ~null.any(axis=-1)
+        psi = psi[ok]
+        widths = block[-1][ok, 0] if np.ndim(block[-1]) == 2 else block[-1]
+        for scheme in schemes:
+            if scheme == "waterfilling":
+                p_k, _theta = water_filling_grid(psi, scenario.p_t)
+            else:
+                p_k = np.full(psi.shape, scenario.p_t / psi.shape[-1])
+            values, reasons = cells[scheme]
+            values[rows][ok] = allocation_capacity_grid(p_k, psi, widths)
+            reasons[rows][~ok] = "two-ray-null"
+    return cells
+
+
 def sweep_capacity_vs_frequency(scenario: Scenario,
                                 f_range: tuple[float, float],
                                 n_points: int,
                                 log_axis: bool = False) -> SweepResult:
     """Capacity [bits/s] vs center frequency of a re-centered band."""
     freqs = _axis_values(f_range[0], f_range[1], n_points, log_axis)
-    columns = [f"C_bps_{model}" for model, _ in _model_media(scenario)]
-    result = SweepResult(axis="frequency", unit="Hz", columns=columns)
-    for f in freqs:
-        band = BandPlan.centered(float(f), scenario.band.b, scenario.band.k)
-        row: dict[str, float] = {}
-        for model, medium in _model_media(scenario):
-            column = f"C_bps_{model}"
-            try:
-                allocation = channel_capacity(
-                    scenario.geom, medium, scenario.env, band,
-                    scenario.geom.d, scenario.p_t)
-            except TwoRayNullError:
-                result.gaps.append((float(f), column, "two-ray-null"))
-                continue
-            row[column] = allocation.capacity_bits_per_s
-        result.points.append((float(f), row))
-    return result
+    bands = [BandPlan.centered(float(f), scenario.band.b, scenario.band.k)
+             for f in freqs]
+    f_k = np.array([band.f_k for band in bands])
+    delta_f = np.array([[band.delta_f] for band in bands])
+    models = _model_media(scenario)
+    result = SweepResult(axis="frequency", unit="Hz",
+                         columns=[f"C_bps_{model}" for model, _ in models])
+    env = scenario.env
+    cells = {}
+    for model, medium in models:
+        kappa = kernels.kappa_totals(f_k, medium.packed, env.t_s, env.p,
+                                     DEFAULT_WING_CUTOFF)
+        cells[f"C_bps_{model}"] = _capacity_cells(
+            scenario, medium, ["waterfilling"], f_k, kappa, scenario.geom.d,
+            env.t_s, delta_f)["waterfilling"]
+    return _filled(result, freqs, cells)
 
 
-def _pathloss_and_capacity_row(scenario: Scenario, env: Environment,
-                               f_values: list[float], result: SweepResult,
-                               x: float) -> dict[str, float]:
-    row: dict[str, float] = {}
+def _pathloss_cells(geom: LinkGeometry, medium: Medium, f: float,
+                    kappa) -> tuple[np.ndarray, np.ndarray]:
+    """Total path loss [dB] at f for each row's kappa [1/m] at f."""
+    values, reasons = _empty_cells(len(kappa))
+    try:
+        l_d = dielectric_path_loss(geom, f, medium.epsilon_r)
+    except TwoRayNullError:
+        reasons[:] = "two-ray-null"
+        return values, reasons
+    optical_depth = kappa * geom.d
+    opaque = optical_depth > DEFAULT_OVERFLOW_CAP
+    reasons[opaque] = "opaque"
+    values[~opaque] = db(l_d) + 10.0 * np.log10(np.exp(optical_depth[~opaque]))
+    return values, reasons
+
+
+def _environment_sweep(scenario: Scenario, axis: str, unit: str, xs, t_s, p,
+                       f_values: list[float] | None) -> SweepResult:
+    """Path loss and capacity at each f value over rows of (t_s, p).
+
+    ``t_s`` and ``p`` are scalars or one value per axis point; one kernel
+    call per model and f value covers the path-loss frequency and the
+    subbands of every row.
+    """
+    if f_values is None:
+        f_values = [1.0e12, 1.2e12, 1.5e12]
+    # every row's environment is valid when the lowest t_s and p are
+    Environment(t_s=float(np.min(t_s)), p=float(np.min(p)))
+    geom = scenario.geom
+    t_col = t_s[:, None] if np.ndim(t_s) else t_s
+    models = _model_media(scenario)
+    result = SweepResult(axis=axis, unit=unit, columns=[
+        f"{metric}_{model}_f{_fmt(f, 'Hz')}"
+        for f in f_values for model, _ in models
+        for metric in ("L_db", "C_bps")])
+    cells = {}
     for f in f_values:
         band = BandPlan.centered(f, scenario.band.b, scenario.band.k)
-        for model, medium in _model_media(scenario):
+        freqs = np.concatenate(([f], band.f_k))
+        for model, medium in models:
             suffix = f"{model}_f{_fmt(f, 'Hz')}"
-            try:
-                l_d = dielectric_path_loss(scenario.geom, f,
-                                           medium.epsilon_r)
-            except TwoRayNullError:
-                result.gaps.append((x, f"L_db_{suffix}", "two-ray-null"))
-            else:
-                kappa = kappa_over_grid(medium, np.array([f]), env)[0]
-                attenuation = attenuation_from_optical_depth(
-                    kappa * scenario.geom.d)
-                if attenuation.opaque:
-                    result.gaps.append((x, f"L_db_{suffix}", "opaque"))
-                else:
-                    row[f"L_db_{suffix}"] = db(l_d) + db(attenuation.loss)
-            try:
-                allocation = channel_capacity(
-                    scenario.geom, medium, env, band, scenario.geom.d,
-                    scenario.p_t)
-            except TwoRayNullError:
-                result.gaps.append((x, f"C_bps_{suffix}", "two-ray-null"))
-            else:
-                row[f"C_bps_{suffix}"] = allocation.capacity_bits_per_s
-    return row
+            kappa = kernels.kappa_totals(freqs, medium.packed, t_s, p,
+                                         DEFAULT_WING_CUTOFF)
+            cells[f"L_db_{suffix}"] = _pathloss_cells(geom, medium, f,
+                                                      kappa[:, 0])
+            cells[f"C_bps_{suffix}"] = _capacity_cells(
+                scenario, medium, ["waterfilling"], band.f_k, kappa[:, 1:],
+                geom.d, t_col, band.delta_f)["waterfilling"]
+    return _filled(result, xs, cells)
 
 
 def sweep_vs_temperature(scenario: Scenario, t_range: tuple[float, float],
                          n_points: int, f_values: list[float] | None = None,
                          log_axis: bool = False) -> SweepResult:
     """Path loss and capacity vs system noise temperature [K]."""
-    if f_values is None:
-        f_values = [1.0e12, 1.2e12, 1.5e12]
     temps = _axis_values(t_range[0], t_range[1], n_points, log_axis)
-    columns = [f"{metric}_{model}_f{_fmt(f, 'Hz')}"
-               for f in f_values for model, _ in _model_media(scenario)
-               for metric in ("L_db", "C_bps")]
-    result = SweepResult(axis="temperature", unit="K", columns=columns)
-    for t_s in temps:
-        env = Environment(t_s=float(t_s), p=scenario.env.p)
-        row = _pathloss_and_capacity_row(scenario, env, f_values, result,
-                                         float(t_s))
-        result.points.append((float(t_s), row))
-    return result
+    return _environment_sweep(scenario, "temperature", "K", temps, temps,
+                              scenario.env.p, f_values)
 
 
 def sweep_vs_pressure(scenario: Scenario, p_range_kpa: tuple[float, float],
                       n_points: int, f_values: list[float] | None = None,
                       log_axis: bool = False) -> SweepResult:
     """Path loss and capacity vs ambient pressure, axis in kPa."""
-    if f_values is None:
-        f_values = [1.0e12, 1.2e12, 1.5e12]
     pressures = _axis_values(p_range_kpa[0], p_range_kpa[1], n_points,
                              log_axis)
-    columns = [f"{metric}_{model}_f{_fmt(f, 'Hz')}"
-               for f in f_values for model, _ in _model_media(scenario)
-               for metric in ("L_db", "C_bps")]
-    result = SweepResult(axis="pressure", unit="kPa", columns=columns)
-    for p_kpa in pressures:
-        env = Environment(t_s=scenario.env.t_s,
-                          p=float(p_kpa) / ATM_IN_KPA)
-        row = _pathloss_and_capacity_row(scenario, env, f_values, result,
-                                         float(p_kpa))
-        result.points.append((float(p_kpa), row))
-    return result
+    return _environment_sweep(scenario, "pressure", "kPa", pressures,
+                              scenario.env.t_s, pressures / ATM_IN_KPA,
+                              f_values)
 
 
 def sweep_capacity_vs_distance(scenario: Scenario,
                                d_range: tuple[float, float], n_points: int,
                                allocation: str = "both",
                                log_axis: bool = False) -> SweepResult:
-    """Capacity [bits/s] vs antenna separation [m], per allocation scheme."""
+    """Capacity [bits/s] vs antenna separation [m], per allocation scheme.
+
+    kappa does not depend on d, so each model's is computed once for the
+    whole axis.
+    """
     if allocation not in ("waterfilling", "flat", "both"):
         raise DomainError(
             f"allocation must be waterfilling, flat, or both, "
@@ -241,25 +305,23 @@ def sweep_capacity_vs_distance(scenario: Scenario,
     schemes = (["waterfilling", "flat"] if allocation == "both"
                else [allocation])
     distances = _axis_values(d_range[0], d_range[1], n_points, log_axis)
+    geom = scenario.geom
+    for d in (distances[0], distances[-1]):  # the axis is monotonic
+        _check_distance(geom, float(d))
+    models = _model_media(scenario)
     columns = [f"C_bps_{model}_{scheme}"
-               for model, _ in _model_media(scenario) for scheme in schemes]
+               for model, _ in models for scheme in schemes]
     result = SweepResult(axis="distance", unit="m", columns=columns)
-    for d in distances:
-        row: dict[str, float] = {}
-        for model, medium in _model_media(scenario):
-            for scheme in schemes:
-                column = f"C_bps_{model}_{scheme}"
-                solver = (channel_capacity if scheme == "waterfilling"
-                          else flat_allocation_capacity)
-                try:
-                    out = solver(scenario.geom, medium, scenario.env,
-                                 scenario.band, float(d), scenario.p_t)
-                except TwoRayNullError:
-                    result.gaps.append((float(d), column, "two-ray-null"))
-                    continue
-                row[column] = out.capacity_bits_per_s
-        result.points.append((float(d), row))
-    return result
+    band, env = scenario.band, scenario.env
+    cells = {}
+    for model, medium in models:
+        kappa = kappa_over_grid(medium, band.f_k, env)
+        by_scheme = _capacity_cells(scenario, medium, schemes, band.f_k,
+                                    kappa, distances[:, None], env.t_s,
+                                    band.delta_f)
+        for scheme in schemes:
+            cells[f"C_bps_{model}_{scheme}"] = by_scheme[scheme]
+    return _filled(result, distances, cells)
 
 
 __all__ = [

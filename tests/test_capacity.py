@@ -8,7 +8,8 @@ from thzlink.capacity import (BandPlan, allocation_capacity,
                               approx_capacity_small_antenna, channel_capacity,
                               flat_allocation_capacity,
                               molecular_noise_temperature, noise_model,
-                              noise_power, psi_coefficients, water_filling)
+                              noise_power, psi_coefficients, psi_grid,
+                              water_filling, water_filling_grid)
 from thzlink.constants import BOLTZMANN, T_REF
 from thzlink.errors import (ApproximationRegimeError, DomainError,
                             TwoRayNullError, ValidationError)
@@ -124,6 +125,27 @@ class TestPsiCoefficients:
         with pytest.raises(TwoRayNullError) as excinfo:
             psi_coefficients(geom, Medium(composition={}), env, band, geom.d)
         assert excinfo.value.subband == 1
+        assert excinfo.value.frequency == f_null
+        assert excinfo.value.argument == pytest.approx(math.pi, rel=1e-12)
+
+    def test_grid_masks_the_null_cell(self, env):
+        geom = LinkGeometry(d=1.0e-4, h_t=2.0e-5, h_r=2.0e-5)
+        from thzlink.propagation import LIGHT_SPEED
+        f_null = LIGHT_SPEED * geom.d / (2.0 * geom.h_t * geom.h_r)
+        f_k = np.array([[f_null - 1e9, f_null], [f_null + 1e9, f_null + 2e9]])
+        _psi, null = psi_grid(geom, 1.0, f_k, np.zeros(2), geom.d, env.t_s,
+                              1e9)
+        assert null.tolist() == [[False, True], [False, False]]
+        # rows that differ only in t_s share the subbands' nulls
+        psi, null = psi_grid(geom, 1.0, f_k[0], np.zeros(2), geom.d,
+                             np.array([[250.0], [300.0], [350.0]]), 1e9)
+        assert psi.shape == null.shape == (3, 2)
+        assert null.tolist() == [[False, True]] * 3
+
+    def test_grid_rejects_non_finite_frequency(self, geom, env):
+        with pytest.raises(DomainError, match="frequency must be finite"):
+            psi_grid(geom, 1.0, np.array([1e12, np.inf]), np.zeros(2),
+                     geom.d, env.t_s, 1e9)
 
 
 def brute_force_best(psi, p_t, delta_f, candidates):
@@ -211,6 +233,27 @@ class TestWaterFilling:
             water_filling(np.array([1.0]), -1.0)
         with pytest.raises(DomainError):
             water_filling(np.array([np.inf, np.inf]), 1.0)
+
+    @pytest.mark.parametrize("p_t", [math.inf, math.nan])
+    def test_rejects_non_finite_budget(self, p_t):
+        with pytest.raises(DomainError, match="power budget"):
+            water_filling(np.array([1.0, 2.0]), p_t)
+        with pytest.raises(DomainError, match="power budget"):
+            water_filling_grid(np.array([[1.0, 2.0]]), p_t)
+
+    def test_grid_rows_are_independent(self, rng):
+        psi = rng.uniform(0.1, 10.0, size=(50, 7))
+        psi[3, 2] = np.inf
+        p_k, theta = water_filling_grid(psi, 2.5)
+        for row in range(len(psi)):
+            out = water_filling(psi[row], 2.5)
+            assert np.array_equal(p_k[row], out.p_k)
+            assert theta[row] == out.theta
+
+    def test_grid_rejects_a_row_of_infinite_floors(self):
+        psi = np.array([[1.0, 2.0], [np.inf, np.inf]])
+        with pytest.raises(DomainError, match="no fundable subband"):
+            water_filling_grid(psi, 1.0)
 
 
 class TestChannelCapacity:

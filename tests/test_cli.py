@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 
 import pytest
 
@@ -59,6 +60,13 @@ class TestPathloss:
         assert "two-ray null" in err
         assert f"{NULL_FREQUENCY:.6e}" in err
 
+    def test_infinite_frequency_exits_2(self, capsys):
+        code, out, err = run(capsys, "pathloss", "--frequency", "inf")
+        assert code == 2
+        assert out == ""
+        assert "frequency must be finite" in err
+        assert "Traceback" not in err
+
     def test_missing_scenario_exits_1(self, capsys):
         code, _, err = run(capsys, "pathloss", "--scenario", "/no/such.json")
         assert code == 1
@@ -94,6 +102,14 @@ class TestCapacity:
             psi, p = float(psi_text), float(p_text)
             if p > 0.0:
                 assert psi + p == pytest.approx(theta, rel=1e-5)
+
+    @pytest.mark.parametrize("allocation", ["waterfilling", "flat"])
+    def test_infinite_power_exits_2(self, capsys, allocation):
+        code, out, err = run(capsys, "capacity", "--power", "inf",
+                             "--allocation", allocation)
+        assert code == 2
+        assert out == ""
+        assert "p_t must be finite" in err
 
     def test_flat_allocation_flag(self, capsys):
         _, wf_out, _ = run(capsys, "capacity")
@@ -158,6 +174,38 @@ class TestSweep:
         assert out == ""
         assert "d must satisfy" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag, axis", [("--distances", "frequency"),
+                                            ("--freqs", "temperature"),
+                                            ("--freqs", "pressure")])
+    @pytest.mark.parametrize("text", ["", ",", " , "],
+                             ids=["empty", "comma", "spaced-comma"])
+    def test_empty_list_exits_1(self, capsys, flag, axis, text):
+        code, out, err = run(capsys, "sweep", "--axis", axis, "--points",
+                             "3", flag, text)
+        assert code == 1
+        assert out == ""
+        assert f"{flag} expects at least one number" in err
+
+    @pytest.mark.parametrize("axis", [
+        ("--axis", "frequency"),
+        ("--axis", "frequency", "--metric", "capacity"),
+        ("--axis", "temperature"),
+        ("--axis", "pressure"),
+        ("--axis", "distance"),
+    ], ids=["frequency", "capacity-frequency", "temperature", "pressure",
+            "distance"])
+    @pytest.mark.parametrize("bound", [("--to", "inf"), ("--from=-inf",),
+                                       ("--to", "nan")],
+                             ids=["to-inf", "from-minus-inf", "to-nan"])
+    def test_non_finite_axis_bound_exits_2(self, capsys, axis, bound):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning fails the test
+            code, out, err = run(capsys, "sweep", *axis, "--points", "5",
+                                 *bound)
+        assert code == 2
+        assert out == ""
+        assert "axis range must be finite" in err
 
     def test_gap_marker_column(self, capsys):
         lo = repr(NULL_FREQUENCY)

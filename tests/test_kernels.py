@@ -54,3 +54,77 @@ def test_grid_rejects_what_scalar_rejects(default_medium, env, line_factory):
             medium_kappa(medium, f, env)
         with pytest.raises(DomainError, match=message):
             kappa_over_grid(medium, np.array([1.5e12, f]), env)
+
+
+def test_rows_match_one_row_calls_bitwise(default_medium, env):
+    """A multi-row call is the one-row sum, row by row, bit for bit."""
+    freqs = np.linspace(0.9e12, 1.6e12, 37)
+    temps = np.linspace(250.0, 400.0, 9)
+    pressures = np.linspace(0.2, 2.0, 9)
+    by_t = kernels.kappa_totals(freqs, default_medium.packed, temps, env.p)
+    by_p = kernels.kappa_totals(freqs, default_medium.packed, env.t_s,
+                                pressures)
+    by_f = kernels.kappa_totals(freqs[None, :] * np.linspace(1, 2, 9)[:, None],
+                                default_medium.packed, env.t_s, env.p)
+    assert by_t.shape == by_p.shape == by_f.shape == (9, 37)
+    for row in range(9):
+        assert np.array_equal(by_t[row], kappa_over_grid(
+            default_medium, freqs, Environment(t_s=temps[row], p=env.p),
+            wing_cutoff=None))
+        assert np.array_equal(by_p[row], kappa_over_grid(
+            default_medium, freqs, Environment(t_s=env.t_s,
+                                               p=pressures[row]),
+            wing_cutoff=None))
+        assert np.array_equal(by_f[row], kappa_over_grid(
+            default_medium, freqs * np.linspace(1, 2, 9)[row], env,
+            wing_cutoff=None))
+
+
+def test_blocks_cover_every_row(default_medium, env):
+    lines = default_medium.packed
+    n_rows = 5 * kernels.BLOCK_PAIRS // (len(lines) * 64) + 3
+    temps = np.linspace(250.0, 400.0, n_rows)
+    freqs = np.linspace(1.0e12, 1.1e12, 64)
+    grid = kernels.kappa_totals(freqs, lines, temps, env.p)
+    for row in (0, n_rows // 2, n_rows - 1):
+        assert np.array_equal(grid[row], kernels.kappa_totals(
+            freqs, lines, float(temps[row]), env.p))
+
+
+def test_one_row_shapes(default_medium, env):
+    freqs = np.linspace(1.0e12, 1.1e12, 5)
+    for medium in (default_medium, Medium(composition={})):
+        assert kernels.kappa_totals(freqs, medium.packed, 296.0,
+                                    1.0).shape == (5,)
+        assert kernels.kappa_totals(freqs, medium.packed, [296.0],
+                                    1.0).shape == (1, 5)
+        assert kernels.kappa_totals(freqs, medium.packed, 296.0,
+                                    [1.0, 2.0]).shape == (2, 5)
+
+
+@pytest.mark.parametrize("f", [np.inf, np.nan])
+def test_grid_rejects_non_finite_frequency(default_medium, env, f):
+    with pytest.raises(DomainError, match="frequency must be"):
+        kappa_over_grid(default_medium, np.array([1.5e12, f]), env)
+
+
+def test_pressure_shift_error_names_the_row_pressure(line_factory):
+    shifted = line_factory(f_c0=1.0e12, pressure_shift=-0.6e12)
+    medium = Medium(composition={shifted.species: 0.1}, lines=(shifted,))
+    with pytest.raises(DomainError, match=r"line 0 .* at p=2\.0 atm"):
+        kernels.kappa_totals(np.array([1e12]), medium.packed, 296.0,
+                             [1.0, 2.0])
+
+
+def test_medium_packs_its_lines_once(default_medium, monkeypatch):
+    medium = Medium(composition=default_medium.composition,
+                    lines=default_medium.lines)
+    calls = []
+    real = kernels.pack_lines
+    monkeypatch.setattr(kernels, "pack_lines",
+                        lambda m: calls.append(m) or real(m))
+    env = Environment()
+    for _ in range(3):
+        kappa_over_grid(medium, np.array([1.0e12, 1.2e12]), env)
+    assert len(calls) == 1
+    assert not medium.packed.f_c0.flags.writeable

@@ -84,6 +84,13 @@ class TestDielectricPathLoss:
         with pytest.raises(DomainError):
             dielectric_path_loss(geom, 1.0e12, 1.0, d=1.0)  # > d_c
 
+    @pytest.mark.parametrize("f", [math.inf, math.nan])
+    def test_non_finite_frequency_rejected(self, geom, f):
+        with pytest.raises(DomainError, match="frequency must be"):
+            dielectric_path_loss(geom, f, 1.0)
+        with pytest.raises(DomainError, match="frequency must be finite"):
+            two_ray_argument(geom, f, 1.0)
+
 
 class TestLinkGeometry:
     def test_collects_all_violations(self):

@@ -1,13 +1,17 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from thzlink.absorption import Environment
-from thzlink.capacity import BandPlan
+from thzlink.capacity import BandPlan, channel_capacity
 from thzlink.constants import LIGHT_SPEED
 from thzlink.errors import DomainError
 from thzlink.propagation import LinkGeometry
 from thzlink.spectro import Medium, SpectralLine
-from thzlink.sweep import (Scenario, sweep_capacity_vs_distance,
+from thzlink.sweep import (GRID_BLOCK_CELLS, Scenario,
+                           sweep_capacity_vs_distance,
                            sweep_capacity_vs_frequency,
                            sweep_pathloss_vs_frequency, sweep_vs_pressure,
                            sweep_vs_temperature)
@@ -125,6 +129,48 @@ def test_distance_sweep_single_scheme(default_scenario):
 def test_distance_sweep_outside_package_rejected(default_scenario, d_range):
     with pytest.raises(DomainError, match="d must satisfy"):
         sweep_capacity_vs_distance(default_scenario, d_range, 101)
+
+
+@pytest.mark.parametrize("p_t", [math.inf, -1.0, math.nan])
+def test_scenario_rejects_bad_budget(default_scenario, p_t):
+    with pytest.raises(DomainError, match="p_t must be finite"):
+        replace(default_scenario, p_t=p_t)
+
+
+@pytest.mark.parametrize("bounds", [(1.0, math.inf), (-math.inf, 1.0),
+                                    (math.nan, 1.0)])
+def test_axis_rejects_non_finite_bounds(default_scenario, bounds):
+    with pytest.raises(DomainError, match="axis range must be finite"):
+        sweep_vs_temperature(default_scenario, bounds, 5)
+
+
+def test_all_opaque_capacity_row_aborts_the_sweep(default_scenario):
+    # one subband centered on an overwhelming line: its only floor is inf
+    line = SpectralLine(gas_id=1, iso_id=1, f_c0=1.0e12,
+                        line_intensity=1.0e22, alpha_air=2.5e9,
+                        alpha_self=1.1e10, temp_exponent=0.7,
+                        pressure_shift=0.0)
+    scenario = replace(default_scenario,
+                       medium=Medium(composition={(1, 1): 1.0},
+                                     lines=(line,)),
+                       band=BandPlan.centered(1.0e12, 1.0e9, 1))
+    with pytest.raises(DomainError, match="no fundable subband"):
+        sweep_vs_temperature(scenario, (250.0, 400.0), 5, [1.0e12])
+
+
+def test_rows_span_several_grid_blocks(default_scenario):
+    n = 3 * GRID_BLOCK_CELLS // default_scenario.band.k + 5
+    result = sweep_capacity_vs_distance(default_scenario, (1.0e-5, 1.0e-4),
+                                        n, allocation="waterfilling")
+    for d, row in result.points[::97]:
+        for model, medium in (("proposed", default_scenario.medium),
+                              ("conventional",
+                               default_scenario.medium.without_absorption())):
+            expected = channel_capacity(
+                default_scenario.geom, medium, default_scenario.env,
+                default_scenario.band, d, default_scenario.p_t)
+            assert row[f"C_bps_{model}_waterfilling"] == \
+                expected.capacity_bits_per_s
 
 
 def test_determinism(default_scenario):
