@@ -81,6 +81,13 @@ class Attenuation:
     optical_depth: float  # kappa * d
 
 
+def _check_frequency(f: float):
+    if not f > 0:
+        raise DomainError(f"frequency must be > 0, got {f!r}")
+    if f == math.inf:
+        raise DomainError(f"frequency must be finite, got {f!r}")
+
+
 def _check_q(q: float):
     if not 0.0 <= q <= 1.0:
         raise DomainError(f"mixing ratio must be in [0, 1], got {q!r}")
@@ -111,8 +118,7 @@ def vvw_line_shape(line: SpectralLine, f: float, env: Environment,
     Two mirrored Lorentzian poles at +/- the shifted line center, scaled
     by f/f_c; SI throughout (unit conversion happened at ingestion).
     """
-    if not f > 0:
-        raise DomainError(f"frequency must be > 0, got {f!r}")
+    _check_frequency(f)
     alpha = lorentz_half_width(line, q, env)
     f_c = shifted_resonance(line, env)
     pole_lo = 1.0 / ((f - f_c) ** 2 + alpha ** 2)
@@ -151,6 +157,8 @@ def medium_kappa(medium: Medium, f: float, env: Environment,
                  wing_cutoff: float | None = DEFAULT_WING_CUTOFF
                  ) -> AbsorptionBreakdown:
     """Medium absorption coefficient at one frequency, per-line resolved."""
+    if medium.lines:  # the kernel's domain, whether or not a line is near f
+        _check_frequency(f)
     per_line: dict[tuple[int, int, int], float] = {}
     total = 0.0
     for index, line in enumerate(medium.lines):

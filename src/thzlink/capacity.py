@@ -19,8 +19,8 @@ from .absorption import (DEFAULT_WING_CUTOFF, Environment, kappa_over_grid,
 from .constants import BOLTZMANN, LIGHT_SPEED, T_REF
 from .errors import (ApproximationRegimeError, DomainError, TwoRayNullError,
                      ValidationError)
-from .propagation import (NULL_SINE_TOLERANCE, LinkGeometry,
-                          _check_distance, two_ray_argument)
+from .propagation import (LinkGeometry, _check_distance, two_ray_argument,
+                          two_ray_grid)
 from .spectro import Medium
 
 
@@ -136,16 +136,7 @@ def psi_grid(geom: LinkGeometry, epsilon_r: float, f_k, kappa, d, t_s,
     whose subband center sits on a two-ray null, where the floor is
     meaningless. Raises DomainError for a frequency that is not finite.
     """
-    f_k = np.asarray(f_k, dtype=np.float64)
-    finite = np.isfinite(f_k)
-    if not finite.all():
-        raise DomainError(
-            f"frequency must be finite, got {float(f_k[~finite][0])!r}")
-    argument = (2.0 * math.pi * geom.h_t * geom.h_r * f_k
-                * math.sqrt(epsilon_r) / (LIGHT_SPEED * d))
-    sine = np.sin(argument)
-    null = np.abs(sine) < NULL_SINE_TOLERANCE
-    spreading2 = (2.0 * math.pi * d * f_k / LIGHT_SPEED) ** 2
+    sine, null, spreading2 = two_ray_grid(geom, f_k, epsilon_r, d)
     with np.errstate(divide="ignore", over="ignore"):
         csc2 = 1.0 / (sine * sine)
         bracket = (t_s + T_REF) * np.exp(kappa * d) - T_REF

@@ -10,7 +10,9 @@ model-domain error (e.g. a two-ray null at the requested frequency).
 from __future__ import annotations
 
 import argparse
+import re
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 from .absorption import Environment
@@ -43,6 +45,13 @@ class RunConfig:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes "-1e-4" and "-inf" for flags; no flag here starts
+        # with a digit, ".digit", inf or nan, so such words are values
+        self._negative_number_matcher = re.compile(
+            r"^-(\.?\d|inf|nan)", re.IGNORECASE)
+
     def error(self, message):  # config errors exit 1, not argparse's 2
         raise ConfigError(message)
 
@@ -222,36 +231,29 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
     return values
 
 
-def render_csv(result: SweepResult) -> str:
-    """Locale-independent CSV: '.' decimals, %.12e cells, LF endings."""
-    gap_reasons: dict[float, list[str]] = {}
+def _rows(result: SweepResult, spec: str) -> Iterator[list[str]]:
+    """Header, then one row per axis value: gaps empty, reasons joined."""
+    gap_reasons: dict[float, set[str]] = {}
     for x, _column, reason in result.gaps:
-        gap_reasons.setdefault(x, []).append(reason)
-    out = [",".join([f"{result.axis}_{result.unit}"]
-                    + result.columns + ["gap"])]
+        gap_reasons.setdefault(x, set()).add(reason)
+    yield [f"{result.axis}_{result.unit}"] + result.columns + ["gap"]
     for x, row in result.points:
-        cells = [f"{x:.12e}"]
+        cells = [f"{x:{spec}}"]
         for column in result.columns:
             value = row.get(column)
-            cells.append("" if value is None else f"{value:.12e}")
-        cells.append(";".join(sorted(set(gap_reasons.get(x, [])))))
-        out.append(",".join(cells))
-    return "\n".join(out) + "\n"
+            cells.append("" if value is None else f"{value:{spec}}")
+        cells.append(";".join(sorted(gap_reasons.get(x, ()))))
+        yield cells
+
+
+def render_csv(result: SweepResult) -> str:
+    """Locale-independent CSV: '.' decimals, %.12e cells, LF endings."""
+    return "\n".join(",".join(r) for r in _rows(result, ".12e")) + "\n"
 
 
 def render_table(result: SweepResult) -> str:
-    header = [f"{result.axis}_{result.unit}"] + result.columns + ["gap"]
-    gap_reasons: dict[float, list[str]] = {}
-    for x, _column, reason in result.gaps:
-        gap_reasons.setdefault(x, []).append(reason)
-    rows = [header]
-    for x, row in result.points:
-        cells = [f"{x:.6e}"]
-        cells += ["" if row.get(c) is None else f"{row[c]:.6e}"
-                  for c in result.columns]
-        cells.append(";".join(sorted(set(gap_reasons.get(x, [])))))
-        rows.append(cells)
-    widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
+    rows = list(_rows(result, ".6e"))
+    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
     return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(r, widths))
                      for r in rows) + "\n"
 

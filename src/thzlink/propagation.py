@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .absorption import (DEFAULT_OVERFLOW_CAP, DEFAULT_WING_CUTOFF,
                          Environment, maa, medium_kappa)
 from .constants import LIGHT_SPEED
@@ -117,6 +119,25 @@ def two_ray_argument(geom: LinkGeometry, f: float, epsilon_r: float,
             / (LIGHT_SPEED * d))
 
 
+def two_ray_grid(geom: LinkGeometry, f, epsilon_r: float, d) -> tuple:
+    """Sine, null mask and squared spreading term over broadcasting f, d.
+
+    The vectorized terms of :func:`dielectric_path_loss`; raises
+    DomainError for a frequency that is not finite.
+    """
+    f = np.asarray(f, dtype=np.float64)
+    finite = np.isfinite(f)
+    if not finite.all():
+        raise DomainError(
+            f"frequency must be finite, got {float(f[~finite][0])!r}")
+    argument = (2.0 * math.pi * geom.h_t * geom.h_r * f
+                * math.sqrt(epsilon_r) / (LIGHT_SPEED * d))
+    sine = np.sin(argument)
+    null = np.abs(sine) < NULL_SINE_TOLERANCE
+    spreading2 = (2.0 * math.pi * d * f / LIGHT_SPEED) ** 2
+    return sine, null, spreading2
+
+
 def _checked_sine(argument: float, f: float | None = None,
                   subband: int | None = None) -> float:
     s = math.sin(argument)
@@ -202,5 +223,6 @@ def link_budget_db(geom: LinkGeometry, medium: Medium, env: Environment,
 __all__ = [
     "NULL_SINE_TOLERANCE", "db", "LinkGeometry", "PathLossReport",
     "LinkBudget", "phase_velocity", "phase_difference", "two_ray_argument",
-    "dielectric_path_loss", "total_path_loss", "link_budget_db",
+    "two_ray_grid", "dielectric_path_loss", "total_path_loss",
+    "link_budget_db",
 ]

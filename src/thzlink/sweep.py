@@ -16,15 +16,13 @@ import numpy as np
 
 from . import kernels
 from .absorption import (DEFAULT_OVERFLOW_CAP, DEFAULT_WING_CUTOFF,
-                         Environment, attenuation_from_optical_depth,
-                         kappa_over_grid)
-from .capacity import (BandPlan, allocation_capacity_grid,
-                       channel_capacity,  # noqa: F401 (importable from here)
-                       psi_grid, water_filling_grid)
+                         Environment, kappa_over_grid)
+from .capacity import (BandPlan, allocation_capacity_grid, psi_grid,
+                       water_filling_grid)
+from .capacity import channel_capacity  # noqa: F401 (perfbench patches it)
 from .constants import ATM_IN_KPA
-from .errors import DomainError, TwoRayNullError
-from .propagation import (LinkGeometry, _check_distance, db,
-                          dielectric_path_loss)
+from .errors import DomainError
+from .propagation import LinkGeometry, _check_distance, two_ray_grid
 from .spectro import Medium
 
 # Rows x subbands cells that one block of a capacity grid evaluates at
@@ -113,45 +111,28 @@ def sweep_pathloss_vs_frequency(scenario: Scenario,
     freqs = _axis_values(f_range[0], f_range[1], n_points, log_axis)
     if not np.all(freqs > 0):
         raise DomainError("frequency range must be positive")
-
-    columns = [f"L_db_{model}_d{_fmt(d, 'm')}"
-               for d in d_values for model, _ in _model_media(scenario)]
-    result = SweepResult(axis="frequency", unit="Hz", columns=columns)
-
-    kappa_by_model = {
-        model: kappa_over_grid(medium, freqs, scenario.env)
-        for model, medium in _model_media(scenario)
-    }
-    eps = scenario.medium.epsilon_r
-    for i, f in enumerate(freqs):
-        row: dict[str, float] = {}
-        for d in d_values:
-            for model, _ in _model_media(scenario):
-                column = f"L_db_{model}_d{_fmt(d, 'm')}"
-                try:
-                    l_d = dielectric_path_loss(scenario.geom, float(f), eps, d)
-                except TwoRayNullError:
-                    result.gaps.append((float(f), column, "two-ray-null"))
-                    continue
-                attenuation = attenuation_from_optical_depth(
-                    kappa_by_model[model][i] * d)
-                if attenuation.opaque:
-                    result.gaps.append((float(f), column, "opaque"))
-                    continue
-                row[column] = db(l_d) + db(attenuation.loss)
-        result.points.append((float(f), row))
-    return result
+    models = _model_media(scenario)
+    kappa = {model: kappa_over_grid(medium, freqs, scenario.env)
+             for model, medium in models}
+    geom, eps = scenario.geom, scenario.medium.epsilon_r
+    cells = []
+    for d in d_values:
+        _check_distance(geom, d)
+        cells += [(f"L_db_{model}_d{_fmt(d, 'm')}",
+                   _pathloss_cells(geom, eps, freqs, kappa[model], d))
+                  for model, _ in models]
+    return _filled("frequency", "Hz", freqs, cells)
 
 
-def _empty_cells(n_rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """One column's values and gap reasons; a non-empty reason is a gap."""
-    return np.full(n_rows, np.nan), np.full(n_rows, "", dtype=object)
+def _filled(axis: str, unit: str, xs, cells) -> SweepResult:
+    """One row per axis value from (column, (values, reasons)) pairs.
 
-
-def _filled(result: SweepResult, xs, cells) -> SweepResult:
-    """Append one row per axis value from per-column (values, reasons)."""
-    columns = [(column, cells[column][0].tolist(), cells[column][1])
-               for column in result.columns]
+    A cell whose reason is not empty is a gap.
+    """
+    result = SweepResult(axis=axis, unit=unit,
+                         columns=[column for column, _ in cells])
+    columns = [(column, values.tolist(), reasons)
+               for column, (values, reasons) in cells]
     for i, x in enumerate(xs.tolist()):
         row: dict[str, float] = {}
         for column, values, reasons in columns:
@@ -174,7 +155,8 @@ def _capacity_cells(scenario: Scenario, medium: Medium, schemes, f_k, kappa,
     """
     grid = (f_k, kappa, d, t_s, delta_f)
     n_rows = max(len(x) for x in grid if np.ndim(x) == 2)
-    cells = {scheme: _empty_cells(n_rows) for scheme in schemes}
+    cells = {scheme: (np.full(n_rows, np.nan),
+                      np.full(n_rows, "", dtype=object)) for scheme in schemes}
     step = max(1, GRID_BLOCK_CELLS // np.shape(f_k)[-1])
     for start in range(0, n_rows, step):
         rows = slice(start, start + step)
@@ -200,38 +182,41 @@ def sweep_capacity_vs_frequency(scenario: Scenario,
                                 log_axis: bool = False) -> SweepResult:
     """Capacity [bits/s] vs center frequency of a re-centered band."""
     freqs = _axis_values(f_range[0], f_range[1], n_points, log_axis)
-    bands = [BandPlan.centered(float(f), scenario.band.b, scenario.band.k)
-             for f in freqs]
-    f_k = np.array([band.f_k for band in bands])
-    delta_f = np.array([[band.delta_f] for band in bands])
-    models = _model_media(scenario)
-    result = SweepResult(axis="frequency", unit="Hz",
-                         columns=[f"C_bps_{model}" for model, _ in models])
+    # row i is BandPlan.centered(freqs[i], b, k), computed as it does
+    b, k = scenario.band.b, scenario.band.k
+    f_lo, f_hi = freqs - b / 2.0, freqs + b / 2.0
+    delta_f = (f_hi - f_lo)[:, None] / k
+    f_k = f_lo[:, None] + (np.arange(k) + 0.5) * delta_f
+    valid = ((f_hi > f_lo) & (f_lo >= 0) & np.all(f_k > 0, axis=1)
+             & np.all(np.diff(f_k) > 0, axis=1))
+    if not valid.all():  # the first invalid band raises BandPlan's error
+        BandPlan.centered(float(freqs[valid.argmin()]), b, k)
     env = scenario.env
-    cells = {}
-    for model, medium in models:
+    cells = []
+    for model, medium in _model_media(scenario):
         kappa = kernels.kappa_totals(f_k, medium.packed, env.t_s, env.p,
                                      DEFAULT_WING_CUTOFF)
-        cells[f"C_bps_{model}"] = _capacity_cells(
+        cells.append((f"C_bps_{model}", _capacity_cells(
             scenario, medium, ["waterfilling"], f_k, kappa, scenario.geom.d,
-            env.t_s, delta_f)["waterfilling"]
-    return _filled(result, freqs, cells)
+            env.t_s, delta_f)["waterfilling"]))
+    return _filled("frequency", "Hz", freqs, cells)
 
 
-def _pathloss_cells(geom: LinkGeometry, medium: Medium, f: float,
-                    kappa) -> tuple[np.ndarray, np.ndarray]:
-    """Total path loss [dB] at f for each row's kappa [1/m] at f."""
-    values, reasons = _empty_cells(len(kappa))
-    try:
-        l_d = dielectric_path_loss(geom, f, medium.epsilon_r)
-    except TwoRayNullError:
-        reasons[:] = "two-ray-null"
-        return values, reasons
-    optical_depth = kappa * geom.d
-    opaque = optical_depth > DEFAULT_OVERFLOW_CAP
-    reasons[opaque] = "opaque"
-    values[~opaque] = db(l_d) + 10.0 * np.log10(np.exp(optical_depth[~opaque]))
-    return values, reasons
+def _pathloss_cells(geom: LinkGeometry, epsilon_r: float, f, kappa, d
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Total path loss [dB] over broadcasting (f [Hz], kappa [1/m], d [m]).
+
+    A cell on a two-ray null, or whose kappa * d exceeds the overflow cap,
+    is a gap; the null takes precedence.
+    """
+    sine, null, spreading2 = two_ray_grid(geom, f, epsilon_r, d)
+    optical_depth = kappa * d
+    reasons = np.where(null, "two-ray-null", np.where(
+        optical_depth > DEFAULT_OVERFLOW_CAP, "opaque", ""))
+    with np.errstate(divide="ignore", over="ignore"):
+        l_d = spreading2 * epsilon_r / (geom.g_t * geom.g_r) / (sine * sine)
+        values = 10.0 * np.log10(l_d) + 10.0 * np.log10(np.exp(optical_depth))
+    return values, reasons.astype(object)
 
 
 def _environment_sweep(scenario: Scenario, axis: str, unit: str, xs, t_s, p,
@@ -248,25 +233,20 @@ def _environment_sweep(scenario: Scenario, axis: str, unit: str, xs, t_s, p,
     Environment(t_s=float(np.min(t_s)), p=float(np.min(p)))
     geom = scenario.geom
     t_col = t_s[:, None] if np.ndim(t_s) else t_s
-    models = _model_media(scenario)
-    result = SweepResult(axis=axis, unit=unit, columns=[
-        f"{metric}_{model}_f{_fmt(f, 'Hz')}"
-        for f in f_values for model, _ in models
-        for metric in ("L_db", "C_bps")])
-    cells = {}
+    cells = []
     for f in f_values:
         band = BandPlan.centered(f, scenario.band.b, scenario.band.k)
         freqs = np.concatenate(([f], band.f_k))
-        for model, medium in models:
+        for model, medium in _model_media(scenario):
             suffix = f"{model}_f{_fmt(f, 'Hz')}"
             kappa = kernels.kappa_totals(freqs, medium.packed, t_s, p,
                                          DEFAULT_WING_CUTOFF)
-            cells[f"L_db_{suffix}"] = _pathloss_cells(geom, medium, f,
-                                                      kappa[:, 0])
-            cells[f"C_bps_{suffix}"] = _capacity_cells(
+            cells.append((f"L_db_{suffix}", _pathloss_cells(
+                geom, medium.epsilon_r, f, kappa[:, 0], geom.d)))
+            cells.append((f"C_bps_{suffix}", _capacity_cells(
                 scenario, medium, ["waterfilling"], band.f_k, kappa[:, 1:],
-                geom.d, t_col, band.delta_f)["waterfilling"]
-    return _filled(result, xs, cells)
+                geom.d, t_col, band.delta_f)["waterfilling"]))
+    return _filled(axis, unit, xs, cells)
 
 
 def sweep_vs_temperature(scenario: Scenario, t_range: tuple[float, float],
@@ -308,20 +288,16 @@ def sweep_capacity_vs_distance(scenario: Scenario,
     geom = scenario.geom
     for d in (distances[0], distances[-1]):  # the axis is monotonic
         _check_distance(geom, float(d))
-    models = _model_media(scenario)
-    columns = [f"C_bps_{model}_{scheme}"
-               for model, _ in models for scheme in schemes]
-    result = SweepResult(axis="distance", unit="m", columns=columns)
     band, env = scenario.band, scenario.env
-    cells = {}
-    for model, medium in models:
+    cells = []
+    for model, medium in _model_media(scenario):
         kappa = kappa_over_grid(medium, band.f_k, env)
         by_scheme = _capacity_cells(scenario, medium, schemes, band.f_k,
                                     kappa, distances[:, None], env.t_s,
                                     band.delta_f)
-        for scheme in schemes:
-            cells[f"C_bps_{model}_{scheme}"] = by_scheme[scheme]
-    return _filled(result, distances, cells)
+        cells += [(f"C_bps_{model}_{scheme}", by_scheme[scheme])
+                  for scheme in schemes]
+    return _filled("distance", "m", distances, cells)
 
 
 __all__ = [

@@ -175,6 +175,25 @@ class TestSweep:
         assert "d must satisfy" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("lo, message", [
+        ("-1e-4", "d must satisfy"), ("-1E-4", "d must satisfy"),
+        ("-.5e-4", "d must satisfy"), ("-inf", "axis range must be finite"),
+        ("-Infinity", "axis range must be finite")])
+    def test_negative_bound_is_a_value(self, capsys, lo, message):
+        code, out, err = run(capsys, "sweep", "--axis", "distance",
+                             "--from", lo, "--to", "1e-4")
+        assert code == 2
+        assert out == ""
+        assert message in err
+        assert "expected one argument" not in err
+
+    def test_negative_list_is_a_value(self, capsys):
+        code, out, err = run(capsys, "sweep", "--axis", "frequency",
+                             "--points", "3", "--distances", "-1e-4,1e-4")
+        assert code == 2
+        assert out == ""
+        assert "d must satisfy" in err
+
     @pytest.mark.parametrize("flag, axis", [("--distances", "frequency"),
                                             ("--freqs", "temperature"),
                                             ("--freqs", "pressure")])

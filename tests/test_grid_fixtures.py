@@ -1,18 +1,22 @@
-"""Capacity-sweep outputs pinned to CSV fixtures under ``tests/data``.
+"""Sweep outputs pinned to CSV fixtures under ``tests/data``.
 
-The fixtures were captured from the per-point implementation (one
+The capacity fixtures were captured from the per-point implementation (one
 ``channel_capacity`` call per axis point and subband loop per call) that
-the batched channel-grid engine replaced. Every value cell must agree with
-its fixture to rel 1e-12, and every gap cell must carry the same reason.
-Cells are stored at full precision (``repr``), so the comparison never
-sees the rounding of the %.12e CSV format.
+the batched channel-grid engine replaced; the two ``pathloss_frequency``
+fixtures from the per-point ``dielectric_path_loss`` loop that the path-loss
+cells replaced. Every value cell must agree with its fixture to rel 1e-12,
+and every gap cell must carry the same reason. Cells are stored at full
+precision (``repr``), so the comparison never sees the rounding of the
+%.12e CSV format.
 
 Regenerate (only after a deliberate model change) with
-``PYTHONPATH=src python tests/test_grid_fixtures.py``.
+``PYTHONPATH=src python tests/test_grid_fixtures.py [NAME ...]``; with no
+names every fixture is rewritten.
 """
 
 import csv
 import math
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -23,7 +27,8 @@ from thzlink.config import load_scenario
 from thzlink.constants import LIGHT_SPEED
 from thzlink.spectro import Medium, SpectralLine
 from thzlink.sweep import (sweep_capacity_vs_distance,
-                           sweep_capacity_vs_frequency, sweep_vs_pressure,
+                           sweep_capacity_vs_frequency,
+                           sweep_pathloss_vs_frequency, sweep_vs_pressure,
                            sweep_vs_temperature)
 
 DATA = Path(__file__).parent / "data"
@@ -65,6 +70,9 @@ def _cases():
     gaps = gap_scenario()
     f_null = null_frequency(gaps)
     gap_freqs = [1.2e12, f_null]
+    # 1e-5 m puts f_null / 10 on a null and 1.2 THz deep in the opaque
+    # line; 1.5e-7 m stays below the overflow cap and off every null
+    gap_distances = [1.5e-7, 1.0e-5]
     return {
         "distance": lambda: sweep_capacity_vs_distance(
             default, (1.0e-5, 1.0e-4), 19, "both"),
@@ -81,6 +89,10 @@ def _cases():
             gaps, (20.0, 200.0), 5, gap_freqs),
         "gaps_capacity_frequency": lambda: sweep_capacity_vs_frequency(
             gaps, (f_null, 1.001 * f_null), 3),
+        "pathloss_frequency": lambda: sweep_pathloss_vs_frequency(
+            default, (1.0e12, 3.0e12), 101, [1.0e-4, 1.0e-3, 1.0e-2, 2.0e-2]),
+        "gaps_pathloss_frequency": lambda: sweep_pathloss_vs_frequency(
+            gaps, (1.2e12, f_null / 10.0), 5, gap_distances),
     }
 
 
@@ -88,8 +100,15 @@ CASES = sorted(_cases())
 
 
 def cells(result):
-    """Header and rows: the axis value, then each column's value or gap."""
+    """Header and rows: the axis value, then each column's value or gap.
+
+    Also checks that ``result.gaps`` lists the gaps row by row, in column
+    order, which is the order the CSV cannot record.
+    """
     reasons = {(x, column): reason for x, column, reason in result.gaps}
+    assert result.gaps == [(x, column, reasons[(x, column)])
+                           for x, row in result.points
+                           for column in result.columns if column not in row]
     rows = []
     for x, row in result.points:
         rows.append([repr(x)] + [
@@ -98,9 +117,11 @@ def cells(result):
     return [f"{result.axis}_{result.unit}"] + result.columns, rows
 
 
-def write_fixtures():
+def write_fixtures(names=()):
     DATA.mkdir(exist_ok=True)
     for name, run in _cases().items():
+        if names and name not in names:
+            continue
         header, rows = cells(run())
         with open(DATA / f"sweep_{name}.csv", "w", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
@@ -149,4 +170,4 @@ def test_fixtures_cover_every_gap_reason():
 
 
 if __name__ == "__main__":
-    write_fixtures()
+    write_fixtures(sys.argv[1:])

@@ -2,11 +2,11 @@
 
 Random geometry, environment, permittivity, band (K = 1..64), distances
 and budgets (zero included) go through the sweeps and ``psi_grid``; each
-row must agree with ``psi_coefficients``, ``channel_capacity`` and
-``flat_allocation_capacity`` at rel 1e-12. Draws can put a subband center
-on a two-ray null (the row must gap) or add an overwhelming line whose
-floors saturate to +inf (all-infinite rows must abort the sweep exactly as
-the 1-row water-filling does).
+row must agree with ``psi_coefficients``, ``channel_capacity``,
+``flat_allocation_capacity`` and ``total_path_loss`` at rel 1e-12. Draws
+can put a subband center on a two-ray null (the row must gap) or add an
+overwhelming line whose floors saturate to +inf (all-infinite rows must
+abort the sweep exactly as the 1-row water-filling does).
 """
 
 import math
@@ -25,7 +25,8 @@ from thzlink.constants import LIGHT_SPEED
 from thzlink.errors import DomainError, TwoRayNullError
 from thzlink.propagation import LinkGeometry, total_path_loss
 from thzlink.spectro import Medium, SpectralLine
-from thzlink.sweep import sweep_capacity_vs_distance, sweep_vs_temperature
+from thzlink.sweep import (sweep_capacity_vs_distance,
+                           sweep_pathloss_vs_frequency, sweep_vs_temperature)
 
 REL_TOL = 1.0e-12
 DEFAULT = load_scenario()
@@ -205,3 +206,45 @@ def test_temperature_rows_match_single_point_api(data):
                 assert f"L_db_{suffix}" not in row
             else:
                 assert close(row[f"L_db_{suffix}"], report.l_db)
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_pathloss_cells_match_total_path_loss(data):
+    scenario = data.draw(scenarios())
+    geom, band = scenario.geom, scenario.band
+    # the sweep starts on a subband center, where scenarios() may have put
+    # an overwhelming line
+    f_lo = float(band.f_k[data.draw(st.integers(0, band.k - 1))])
+    f_hi = data.draw(st.floats(f_lo * 1.001, 3.0 * f_lo))
+    n = data.draw(st.integers(1, 6))
+    d_values = data.draw(st.lists(st.floats(1.0e-7, geom.d_c), min_size=1,
+                                  max_size=3, unique_by=lambda d: f"{d:g}"))
+    if data.draw(st.booleans()):
+        # the first distance puts f_lo on a two-ray null
+        d_null = null_distance(geom, scenario.medium.epsilon_r, f_lo)
+        assume(d_null <= geom.d_c
+               and f"{d_null:g}" not in {f"{d:g}" for d in d_values})
+        d_values[0] = d_null
+    result = sweep_pathloss_vs_frequency(scenario, (f_lo, f_hi), n, d_values)
+    gaps = {(f, column): reason for f, column, reason in result.gaps}
+    for f, row in result.points:
+        for d in d_values:
+            for model, medium in (("proposed", scenario.medium),
+                                  ("conventional",
+                                   scenario.medium.without_absorption())):
+                column = f"L_db_{model}_d{d:g}m"
+                try:
+                    report = total_path_loss(geom, medium, scenario.env, f,
+                                             d=d)
+                except TwoRayNullError:
+                    reason = "two-ray-null"
+                else:
+                    reason = "opaque" if report.opaque else None
+                if reason:
+                    event(f"a {reason} cell")
+                    assert gaps.get((f, column)) == reason, column
+                    assert column not in row
+                else:
+                    assert (f, column) not in gaps
+                    assert close(row[column], report.l_db), column

@@ -48,6 +48,7 @@ def test_grid_rejects_what_scalar_rejects(default_medium, env, line_factory):
                             lines=(shifted,))
     cases = [(default_medium, -1.0e12, "frequency must be > 0"),
              (default_medium, 0.0, "frequency must be > 0"),
+             (default_medium, np.inf, "frequency must be finite"),
              (shifted_medium, 1.0e12, "pressure shift drives resonance")]
     for medium, f, message in cases:
         with pytest.raises(DomainError, match=message):

@@ -7,7 +7,7 @@ import pytest
 from thzlink.absorption import Environment
 from thzlink.capacity import BandPlan, channel_capacity
 from thzlink.constants import LIGHT_SPEED
-from thzlink.errors import DomainError
+from thzlink.errors import DomainError, ValidationError
 from thzlink.propagation import LinkGeometry
 from thzlink.spectro import Medium, SpectralLine
 from thzlink.sweep import (GRID_BLOCK_CELLS, Scenario,
@@ -63,6 +63,24 @@ def test_capacity_sweep_orders_models(default_scenario):
 def test_zero_width_range_rejected(default_scenario):
     with pytest.raises(DomainError):
         sweep_capacity_vs_frequency(default_scenario, (1.0e12, 1.0e12), 5)
+
+
+@pytest.mark.parametrize("f_range", [(1.0e10, 3.0e12), (1.0e26, 1.0e27)],
+                         ids=["edge-below-zero", "subbands-collapse"])
+def test_invalid_band_aborts_capacity_sweep(default_scenario, f_range):
+    """The first axis value with an invalid band raises BandPlan's error."""
+    band = default_scenario.band
+    expected = None
+    for f in np.linspace(*f_range, 50).tolist():
+        try:
+            BandPlan.centered(f, band.b, band.k)
+        except ValidationError as exc:
+            expected = str(exc)
+            break
+    assert expected is not None
+    with pytest.raises(ValidationError) as excinfo:
+        sweep_capacity_vs_frequency(default_scenario, f_range, 50)
+    assert str(excinfo.value) == expected
 
 
 def test_single_point_sweep(default_scenario):
