@@ -182,15 +182,10 @@ def sweep_capacity_vs_frequency(scenario: Scenario,
                                 log_axis: bool = False) -> SweepResult:
     """Capacity [bits/s] vs center frequency of a re-centered band."""
     freqs = _axis_values(f_range[0], f_range[1], n_points, log_axis)
-    # row i is BandPlan.centered(freqs[i], b, k), computed as it does
-    b, k = scenario.band.b, scenario.band.k
-    f_lo, f_hi = freqs - b / 2.0, freqs + b / 2.0
-    delta_f = (f_hi - f_lo)[:, None] / k
-    f_k = f_lo[:, None] + (np.arange(k) + 0.5) * delta_f
-    valid = ((f_hi > f_lo) & (f_lo >= 0) & np.all(f_k > 0, axis=1)
-             & np.all(np.diff(f_k) > 0, axis=1))
-    if not valid.all():  # the first invalid band raises BandPlan's error
-        BandPlan.centered(float(freqs[valid.argmin()]), b, k)
+    bands = [BandPlan.centered(float(f), scenario.band.b, scenario.band.k)
+             for f in freqs]
+    f_k = np.array([band.f_k for band in bands])
+    delta_f = np.array([[band.delta_f] for band in bands])
     env = scenario.env
     cells = []
     for model, medium in _model_media(scenario):
