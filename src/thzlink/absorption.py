@@ -4,11 +4,17 @@ Every line of the medium contributes an individual absorption coefficient
 built from a Van Vleck-Weisskopf profile with a pressure/temperature
 dependent Lorentz half-width and a radiation-field tanh correction; the
 medium coefficient kappa [1/m] is their sum, and the attenuation over a
-path of length d follows Beer-Lambert as exp(kappa*d).
+path of length d follows Beer-Lambert as exp(kappa*d). For a line of
+mixing ratio q at T [K] and p [atm], with a = h/(2 k_B T):
 
-Scalar single-frequency operations live here and serve as the readable
-reference; grids go through :mod:`thzlink.kernels`. Everything is a pure
-function of immutable inputs and safe to call concurrently.
+    f_c = f_c0 + shift p/P_REF
+    alpha = ((1 - q) alpha_air + q alpha_self) (p/P_REF) (T_REF/T)^n
+    F = (alpha/pi) (f/f_c) [1/((f-f_c)^2 + alpha^2) + 1/((f+f_c)^2 + alpha^2)]
+    kappa_j = (p/P_REF) (T_STP/T) (p q/(R T)) S (f/f_c) tanh(af)/tanh(af_c) F
+
+or 0 where |f - f_c| exceeds the wing cutoff. The sum is evaluated only
+in :mod:`thzlink.kernels`, which the one-point functions here view. All
+are pure functions of immutable inputs, safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -19,8 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .constants import (BOLTZMANN, GAS_CONSTANT_ATM, PLANCK, P_REF, T_REF,
-                        T_STP)
+from .constants import BOLTZMANN, PLANCK, P_REF, T_REF
 from .errors import DomainError, ValidationError
 from .spectro import Medium, SpectralLine
 
@@ -56,11 +61,8 @@ class Environment:
 
 @dataclass(frozen=True)
 class AbsorptionBreakdown:
-    """Total absorption coefficient and its per-line contributions [1/m].
-
-    ``per_line`` is keyed by (gas_id, iso_id, index of the line within the
-    medium's line list); ``total_kappa`` is exactly the sum of its values.
-    """
+    """Total absorption coefficient [1/m] and its per-line terms, keyed by
+    (gas_id, iso_id, index in the medium's line list), which sum to it."""
 
     total_kappa: float
     per_line: dict[tuple[int, int, int], float]
@@ -79,13 +81,6 @@ class Attenuation:
     transmittance: float
     opaque: bool
     optical_depth: float  # kappa * d
-
-
-def _check_frequency(f: float):
-    if not f > 0:
-        raise DomainError(f"frequency must be > 0, got {f!r}")
-    if f == math.inf:
-        raise DomainError(f"frequency must be finite, got {f!r}")
 
 
 def _check_q(q: float):
@@ -118,7 +113,8 @@ def vvw_line_shape(line: SpectralLine, f: float, env: Environment,
     Two mirrored Lorentzian poles at +/- the shifted line center, scaled
     by f/f_c; SI throughout (unit conversion happened at ingestion).
     """
-    _check_frequency(f)
+    if not 0 < f < math.inf:
+        raise DomainError(f"frequency must be > 0 and finite, got {f!r}")
     alpha = lorentz_half_width(line, q, env)
     f_c = shifted_resonance(line, env)
     pole_lo = 1.0 / ((f - f_c) ** 2 + alpha ** 2)
@@ -141,36 +137,26 @@ def spectral_line_shape(line: SpectralLine, f: float, env: Environment,
 
 def line_absorption(line: SpectralLine, q: float, f: float,
                     env: Environment) -> float:
-    """Individual absorption coefficient of one line [1/m].
-
-    The line intensity carries the per-mole cross-section scaling, so
-    the volumetric density factor here is molar [mol/m^3].
-    """
+    """Individual absorption coefficient of one line [1/m], no cutoff:
+    :func:`medium_kappa` of the line alone at mixing ratio ``q``."""
     _check_q(q)
-    molar_density = env.p * q / (GAS_CONSTANT_ATM * env.t_s)
-    xi = spectral_line_shape(line, f, env, q)
-    return ((env.p / P_REF) * (T_STP / env.t_s)
-            * molar_density * line.line_intensity * xi)
+    medium = Medium(composition={line.species: q}, lines=(line,))
+    return medium_kappa(medium, f, env, wing_cutoff=None).total_kappa
 
 
 def medium_kappa(medium: Medium, f: float, env: Environment,
                  wing_cutoff: float | None = DEFAULT_WING_CUTOFF
                  ) -> AbsorptionBreakdown:
-    """Medium absorption coefficient at one frequency, per-line resolved."""
-    if medium.lines:  # the kernel's domain, whether or not a line is near f
-        _check_frequency(f)
-    per_line: dict[tuple[int, int, int], float] = {}
-    total = 0.0
-    for index, line in enumerate(medium.lines):
-        q = medium.q_for(line)
-        f_c = shifted_resonance(line, env)
-        if wing_cutoff is not None and abs(f - f_c) > wing_cutoff:
-            contribution = 0.0
-        else:
-            contribution = line_absorption(line, q, f, env)
-        per_line[(line.gas_id, line.iso_id, index)] = contribution
-        total += contribution
-    return AbsorptionBreakdown(total_kappa=total, per_line=per_line)
+    """Medium absorption coefficient at one frequency, per-line resolved:
+    the one-point view of :func:`thzlink.kernels.line_contributions`."""
+    cutoff = np.inf if wing_cutoff is None else float(wing_cutoff)
+    contributions = kernels.line_contributions(
+        (f,), medium.packed, env.t_s, env.p, cutoff)[:, 0]
+    per_line = {(line.gas_id, line.iso_id, index): value
+                for index, (line, value)
+                in enumerate(zip(medium.lines, contributions.tolist()))}
+    return AbsorptionBreakdown(total_kappa=float(contributions.sum()),
+                               per_line=per_line)
 
 
 def kappa_over_grid(medium: Medium, freqs, env: Environment,
@@ -196,7 +182,7 @@ def maa(medium: Medium, f: float, env: Environment, d: float,
     """
     if d < 0:
         raise DomainError(f"path length must be >= 0, got {d!r}")
-    kappa = medium_kappa(medium, f, env, wing_cutoff).total_kappa
+    kappa = float(kappa_over_grid(medium, (f,), env, wing_cutoff)[0])
     return attenuation_from_optical_depth(kappa * d, overflow_cap)
 
 

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .absorption import (DEFAULT_WING_CUTOFF, Environment, kappa_over_grid,
-                         medium_kappa)
+from .absorption import DEFAULT_WING_CUTOFF, Environment, kappa_over_grid
 from .constants import BOLTZMANN, LIGHT_SPEED, T_REF
 from .errors import (ApproximationRegimeError, DomainError, TwoRayNullError,
                      ValidationError)
@@ -72,8 +71,17 @@ class BandPlan:
 
     @classmethod
     def centered(cls, center: float, bandwidth: float, k: int) -> "BandPlan":
-        return cls.from_edges(center - bandwidth / 2.0,
-                              center + bandwidth / 2.0, k)
+        """The band around a model-domain frequency ``center`` [Hz].
+
+        A center that is not finite, or that puts the lower edge below
+        0 Hz, raises DomainError; the other checks are from_edges'.
+        """
+        f_lo, f_hi = center - bandwidth / 2.0, center + bandwidth / 2.0
+        if not (f_lo >= 0 and center < math.inf):
+            raise DomainError(
+                f"frequency {center!r} Hz puts the band edges at "
+                f"[{f_lo!r}, {f_hi!r}]; they must satisfy 0 <= f_lo < f_hi")
+        return cls.from_edges(f_lo, f_hi, k)
 
 
 @dataclass(frozen=True)
@@ -107,7 +115,7 @@ class PowerAllocation:
 def molecular_noise_temperature(medium: Medium, env: Environment, f: float,
                                 d: float) -> float:
     """Absorption re-emission noise temperature T_ref*(1 - tau) [K]."""
-    kappa = medium_kappa(medium, f, env).total_kappa
+    kappa = float(kappa_over_grid(medium, (f,), env)[0])
     return T_REF * -math.expm1(-kappa * d)
 
 

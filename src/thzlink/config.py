@@ -114,13 +114,14 @@ def build_scenario(doc: dict, catalog: list[SpectralLine]) -> Scenario:
     medium = load_medium(merged["medium"], catalog)
     geometry = merged["geometry"]
     band = merged["band"]
+    center, width = float(band["center"]), float(band["bandwidth"])
     return Scenario(
         geom=LinkGeometry(**geometry),
         medium=medium,
         env=Environment(**merged["environment"]),
-        band=BandPlan.centered(float(band["center"]),
-                               float(band["bandwidth"]),
-                               int(band["subbands"])),
+        # the file's band is configuration: its errors are ValidationErrors
+        band=BandPlan.from_edges(center - width / 2.0, center + width / 2.0,
+                                 int(band["subbands"])),
         p_t=float(merged["p_t"]),
         baseline=bool(merged["baseline"]),
     )

@@ -1,15 +1,16 @@
-"""Hot numeric kernel: absorption coefficient over frequency grids.
+"""Hot numeric kernel: the line sum of :mod:`thzlink.absorption`.
 
-Summing the line-shape contribution of every catalog line at every grid
-frequency dominates sweep runtime, so that sum lives here as one
-vectorized numpy evaluation over a lines x frequencies array. It is the
-same Van Vleck-Weisskopf math as the scalar reference functions in
-:mod:`thzlink.absorption` and rejects the same out-of-domain inputs.
-Each frequency accumulates independently, so results are deterministic.
+This is the one place the sum is evaluated: over grids by kappa_totals,
+line by line by line_contributions. Its formulas factor as kappa_j(f) =
+g(f) w_j [1/((f - f_c)^2 + alpha^2) + 1/((f + f_c)^2 + alpha^2)] with
+g(f) = f^2 tanh(a f) per point and w_j = amp_j alpha/(pi f_c^2 tanh(a f_c))
+per line, both computed once per call, so a lines x points pair costs the
+two poles, the cutoff test and a weighted sum.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,10 +26,8 @@ NUMBA_AVAILABLE = False
 
 @dataclass(frozen=True)
 class LineArrays:
-    """Struct-of-arrays view of a medium's lines, ready for the kernel.
-
-    ``q`` holds the mixing ratio of each line's own species.
-    """
+    """Struct-of-arrays view of a medium's lines, ready for the kernel;
+    ``q`` holds the mixing ratio of each line's own species."""
 
     f_c0: np.ndarray
     intensity: np.ndarray
@@ -54,10 +53,67 @@ def pack_lines(medium) -> LineArrays:
     return LineArrays(*cols)
 
 
-# Most lines x points pairs one block of a multi-row call evaluates at
-# once. It bounds the call's temporaries (64 KiB each), which then stay in
-# cache; a single row is never split, since splitting a large row slows it.
+# Most lines x points pairs evaluated at once. Every call is split over
+# rows and points into such blocks, which bounds its temporaries (64 KiB
+# each, so they stay in cache); no point's sum depends on another point.
 BLOCK_PAIRS = 1 << 13
+
+
+def _factors(freqs, lines: LineArrays, t_s, p):
+    """A call's result shape and, with lines and points, its factors: per
+    point f and g, per line f_c, alpha^2 and w. Raises as kappa_totals."""
+    freqs = np.asarray(freqs, dtype=np.float64)
+    # per-row conditions become (R, 1) columns; scalars stay scalars
+    t_s, p = (x if isinstance(x, float) or np.ndim(x) == 0 else
+              np.asarray(x, dtype=np.float64).reshape(-1, 1) for x in (t_s, p))
+    shape = np.broadcast(freqs, t_s, p).shape
+    if len(lines) == 0 or freqs.size == 0:
+        return shape, None
+    # argmin and argmax are the cheapest scans, and they return a NaN first
+    lowest = float(freqs.flat[freqs.argmin()])
+    if not lowest > 0:
+        raise DomainError(f"frequency must be > 0, got {lowest!r}")
+    highest = float(freqs.flat[freqs.argmax()])
+    if not highest < np.inf:
+        raise DomainError(f"frequency must be finite, got {highest!r}")
+    f_c = lines.f_c0 + lines.pressure_shift * (p / P_REF)
+    nearest = int(f_c.argmin())
+    if not f_c.flat[nearest] > 0:
+        row, j = divmod(nearest, len(lines))
+        raise DomainError(
+            f"pressure shift drives resonance of line {j} to "
+            f"{float(f_c.flat[nearest])!r} Hz at "
+            f"p={float(p[row, 0]) if np.ndim(p) else p} atm")
+    alpha = (((1.0 - lines.q) * lines.alpha_air + lines.q * lines.alpha_self)
+             * ((p / P_REF) * (T_REF / t_s) ** lines.temp_exponent))
+    # one Avogadro factor total: it lives inside `intensity` [m^2 Hz/mol],
+    # so the volumetric density here is molar [mol/m^3]
+    amp = ((p / P_REF) * (T_STP / t_s) * (p / (GAS_CONSTANT_ATM * t_s))
+           * (lines.q * lines.intensity))
+    a = PLANCK / (2.0 * BOLTZMANN * t_s)
+    weight = amp * alpha / (np.pi * f_c * f_c * np.tanh(a * f_c))
+    g = freqs * freqs * np.tanh(a * freqs)
+    return shape, (freqs, g, np.broadcast_to(f_c, weight.shape),
+                   alpha * alpha, weight)
+
+
+def _weighted_poles(f, f_c, alpha2, weight, cutoff) -> np.ndarray:
+    """w_j times the poles, 0 beyond the cutoff, (..., lines, K), for (K,)
+    or (B, K) points and (lines,) or (B, lines) line factors (1-D: any row)."""
+    f, fc, a2 = f[..., None, :], f_c[..., None], alpha2[..., None]
+    # in place, as allocating temporaries costs more than their arithmetic;
+    # f_c has every line factor's shape, so dm and dp have the block's
+    dm = f - fc
+    terms = dm * dm
+    terms += a2
+    np.reciprocal(terms, out=terms)
+    dp = f + fc
+    dp *= dp
+    dp += a2
+    terms += np.reciprocal(dp, out=dp)
+    terms *= weight[..., None]
+    terms[np.abs(dm) > cutoff] = 0.0
+    return terms
 
 
 def kappa_totals(freqs, lines: LineArrays, t_s, p,
@@ -70,72 +126,37 @@ def kappa_totals(freqs, lines: LineArrays, t_s, p,
     than ``cutoff`` [Hz] from a frequency contribute zero there. With no
     lines the result is all zeros; otherwise a frequency that is not > 0
     and finite, or a line whose pressure-shifted center is <= 0, raises
-    DomainError, as the scalar reference does.
+    DomainError.
     """
-    freqs = np.asarray(freqs, dtype=np.float64)
-    # per-row conditions become (R, 1) columns; scalars stay scalars, so a
-    # one-row call computes exactly the (lines, K) sum it always did
-    if np.ndim(t_s):
-        t_s = np.asarray(t_s, dtype=np.float64).reshape(-1, 1)
-    if np.ndim(p):
-        p = np.asarray(p, dtype=np.float64).reshape(-1, 1)
-    shape = np.broadcast(freqs, t_s, p).shape
-    if len(lines) == 0:
+    shape, terms = _factors(freqs, lines, t_s, p)
+    if terms is None:
         return np.zeros(shape)
-    # argmin is the cheapest scan here, and it returns a NaN first
-    if freqs.size:
-        lowest = float(freqs.flat[freqs.argmin()])
-        if not lowest > 0:
-            raise DomainError(f"frequency must be > 0, got {lowest!r}")
-        highest = float(freqs.max())
-        if not highest < np.inf:
-            raise DomainError(f"frequency must be finite, got {highest!r}")
-    f_c = lines.f_c0 + lines.pressure_shift * (p / P_REF)
-    if not f_c.min() > 0:
-        where = np.unravel_index(f_c.argmin(), f_c.shape)
-        p_at = float(p[where[0], 0]) if np.ndim(p) else p
-        raise DomainError(
-            f"pressure shift drives resonance of line {where[-1]} to "
-            f"{float(f_c[where])!r} Hz at p={p_at} atm")
-    alpha = (((1.0 - lines.q) * lines.alpha_air + lines.q * lines.alpha_self)
-             * (p / P_REF) * (T_REF / t_s) ** lines.temp_exponent)
-    # one Avogadro factor total: it lives inside `intensity` [m^2 Hz/mol],
-    # so the volumetric density here is molar [mol/m^3]
-    amp = ((p / P_REF) * (T_STP / t_s)
-           * (p * lines.q / (GAS_CONSTANT_ATM * t_s)) * lines.intensity)
-    a = PLANCK / (2.0 * BOLTZMANN * t_s)
-
-    terms = (freqs, f_c, alpha, amp, a)
-    step = max(1, BLOCK_PAIRS // (len(lines) * shape[-1]))
-    if len(shape) == 1 or step >= shape[0]:
-        return _block_totals(*terms, cutoff)
+    f, g, *per_line = terms
+    if len(lines) * math.prod(shape) <= BLOCK_PAIRS:  # one block
+        return g * _weighted_poles(f, *per_line, cutoff).sum(axis=-2)
+    points = max(1, min(shape[-1], BLOCK_PAIRS // len(lines)))
+    rows = max(1, BLOCK_PAIRS // (len(lines) * points))
     out = np.empty(shape)
-    for start in range(0, shape[0], step):
-        rows = slice(start, start + step)
-        out[rows] = _block_totals(
-            *(x[rows] if np.ndim(x) == 2 else x for x in terms), cutoff)
+    by_row = out.reshape(-1, shape[-1])
+    for r in range(0, len(by_row), rows):
+        f, g, *per_line = (x[r:r + rows] if np.ndim(x) == 2 else x
+                           for x in terms)
+        for k in range(0, shape[-1], points):
+            cols = slice(k, k + points)
+            by_row[r:r + rows, cols] = g[..., cols] * _weighted_poles(
+                f[..., cols], *per_line, cutoff).sum(axis=-2)
     return out
 
 
-def _block_totals(freqs, f_c, alpha, amp, a, cutoff):
-    """Line sums of a block of rows.
-
-    ``freqs`` is (K,) or (B, K); ``f_c``, ``alpha`` and ``amp`` are
-    (lines,) or (B, lines); ``a`` is a scalar or (B, 1). The 1-D and
-    scalar forms stand for every row.
-    """
-    f = freqs[..., None, :]
-    fc = f_c[..., None]
-    al = alpha[..., None]
-    dm = f - fc
-    dp = f + fc
-    shape = (al / np.pi) * (f / fc) * (1.0 / (dm * dm + al * al)
-                                       + 1.0 / (dp * dp + al * al))
-    if np.ndim(a):
-        a = a[..., None]
-    xi = (f / fc) * (np.tanh(a * f) / np.tanh(a * fc)) * shape
-    contrib = np.where(np.abs(dm) <= cutoff, amp[..., None] * xi, 0.0)
-    return contrib.sum(axis=-2)
+def line_contributions(freqs, lines: LineArrays, t_s, p,
+                       cutoff: float = np.inf) -> np.ndarray:
+    """Each line's kappa [1/m] at each point: (lines, K) for one row, else
+    (R, lines, K). As kappa_totals, but in one block, for a few points."""
+    shape, terms = _factors(freqs, lines, t_s, p)
+    if terms is None:
+        return np.zeros(shape[:-1] + (len(lines),) + shape[-1:])
+    f, g, *per_line = terms
+    return g[..., None, :] * _weighted_poles(f, *per_line, cutoff)
 
 
 def active_backend() -> str:
@@ -144,6 +165,6 @@ def active_backend() -> str:
 
 
 __all__ = [
-    "LineArrays", "pack_lines", "kappa_totals", "active_backend",
-    "NUMBA_AVAILABLE",
+    "LineArrays", "pack_lines", "kappa_totals", "line_contributions",
+    "active_backend", "NUMBA_AVAILABLE",
 ]

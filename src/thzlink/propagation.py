@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .absorption import (DEFAULT_OVERFLOW_CAP, DEFAULT_WING_CUTOFF,
-                         Environment, maa, medium_kappa)
+                         Environment, kappa_over_grid, maa)
 from .constants import LIGHT_SPEED
 from .errors import DomainError, TwoRayNullError, ValidationError
 from .spectro import Medium
@@ -138,14 +138,6 @@ def two_ray_grid(geom: LinkGeometry, f, epsilon_r: float, d) -> tuple:
     return sine, null, spreading2
 
 
-def _checked_sine(argument: float, f: float | None = None,
-                  subband: int | None = None) -> float:
-    s = math.sin(argument)
-    if abs(s) < NULL_SINE_TOLERANCE:
-        raise TwoRayNullError(argument, frequency=f, subband=subband)
-    return s
-
-
 def _check_distance(geom: LinkGeometry, d: float):
     if not 0 < d <= geom.d_c:
         raise DomainError(
@@ -168,7 +160,9 @@ def dielectric_path_loss(geom: LinkGeometry, f: float, epsilon_r: float,
     else:
         _check_distance(geom, d)
     argument = two_ray_argument(geom, f, epsilon_r, d)
-    sine = _checked_sine(argument, f)
+    sine = math.sin(argument)
+    if abs(sine) < NULL_SINE_TOLERANCE:
+        raise TwoRayNullError(argument, frequency=f)
     spreading = 2.0 * math.pi * d * f / LIGHT_SPEED
     return spreading ** 2 * epsilon_r / (geom.g_t * geom.g_r) / sine ** 2
 
@@ -201,16 +195,14 @@ def link_budget_db(geom: LinkGeometry, medium: Medium, env: Environment,
     """
     if not p_t > 0:
         raise DomainError(f"transmit power must be > 0, got {p_t!r}")
-    argument = two_ray_argument(geom, f, medium.epsilon_r)
-    sine = _checked_sine(argument, f)
-    spreading = 2.0 * math.pi * geom.d * f / LIGHT_SPEED
-    kappa = medium_kappa(medium, f, env, wing_cutoff).total_kappa
-
+    l_d = dielectric_path_loss(geom, f, medium.epsilon_r)
+    kappa = float(kappa_over_grid(medium, (f,), env, wing_cutoff)[0])
     p_t_dbw = db(p_t)
     g_t_db = db(geom.g_t)
     g_r_db = db(geom.g_r)
     permittivity_db = -db(medium.epsilon_r)
-    spreading_db = -20.0 * math.log10(spreading / abs(sine))
+    # L_d carries the gains and the permittivity; the rest is spreading
+    spreading_db = -db(l_d) - g_t_db - g_r_db - permittivity_db
     absorption_db = -(10.0 / math.log(10.0)) * kappa * geom.d
     return LinkBudget(
         p_t_dbw=p_t_dbw, g_t_db=g_t_db, g_r_db=g_r_db,

@@ -21,7 +21,7 @@ from .capacity import (BandPlan, allocation_capacity_grid, psi_grid,
                        water_filling_grid)
 from .capacity import channel_capacity  # noqa: F401 (perfbench patches it)
 from .constants import ATM_IN_KPA
-from .errors import DomainError
+from .errors import DomainError, ValidationError
 from .propagation import LinkGeometry, _check_distance, two_ray_grid
 from .spectro import Medium
 
@@ -96,8 +96,17 @@ def _model_media(scenario: Scenario) -> list[tuple[str, Medium]]:
             ("conventional", scenario.medium.without_absorption())]
 
 
-def _fmt(value: float, unit: str) -> str:
-    return f"{value:g}{unit}"
+def _labels(values: list[float], unit: str) -> list[str]:
+    """Column label of each value; two values with one label are an error."""
+    labels: dict[str, float] = {}
+    for value in values:
+        label = f"{value:g}{unit}"
+        if label in labels:
+            raise ValidationError(
+                [f"{labels[label]!r} and {value!r} both print as {label!r}, "
+                 f"so their columns would share one name"])
+        labels[label] = value
+    return list(labels)
 
 
 def sweep_pathloss_vs_frequency(scenario: Scenario,
@@ -116,9 +125,9 @@ def sweep_pathloss_vs_frequency(scenario: Scenario,
              for model, medium in models}
     geom, eps = scenario.geom, scenario.medium.epsilon_r
     cells = []
-    for d in d_values:
+    for d, label in zip(d_values, _labels(d_values, "m")):
         _check_distance(geom, d)
-        cells += [(f"L_db_{model}_d{_fmt(d, 'm')}",
+        cells += [(f"L_db_{model}_d{label}",
                    _pathloss_cells(geom, eps, freqs, kappa[model], d))
                   for model, _ in models]
     return _filled("frequency", "Hz", freqs, cells)
@@ -229,11 +238,11 @@ def _environment_sweep(scenario: Scenario, axis: str, unit: str, xs, t_s, p,
     geom = scenario.geom
     t_col = t_s[:, None] if np.ndim(t_s) else t_s
     cells = []
-    for f in f_values:
+    for f, label in zip(f_values, _labels(f_values, "Hz")):
         band = BandPlan.centered(f, scenario.band.b, scenario.band.k)
         freqs = np.concatenate(([f], band.f_k))
         for model, medium in _model_media(scenario):
-            suffix = f"{model}_f{_fmt(f, 'Hz')}"
+            suffix = f"{model}_f{label}"
             kappa = kernels.kappa_totals(freqs, medium.packed, t_s, p,
                                          DEFAULT_WING_CUTOFF)
             cells.append((f"L_db_{suffix}", _pathloss_cells(

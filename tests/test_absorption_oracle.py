@@ -31,7 +31,8 @@ def oracle_line(line, q, f, t_s, p, cutoff=None):
         if cutoff is not None and abs(f - f_c) > mp(cutoff):
             return mp(0)
         alpha = (((1 - q) * mp(line.alpha_air) + q * mp(line.alpha_self))
-                 * (p / mp(P_REF)) * (mp(T_REF) / t_s) ** mp(line.temp_exponent))
+                 * (p / mp(P_REF))
+                 * (mp(T_REF) / t_s) ** mp(line.temp_exponent))
         vvw = ((alpha / mpmath.pi) * (f / f_c)
                * (1 / ((f - f_c) ** 2 + alpha ** 2)
                   + 1 / ((f + f_c) ** 2 + alpha ** 2)))

@@ -40,6 +40,18 @@ class TestBandPlan:
         with pytest.raises(ValidationError):
             BandPlan(b=1e11, k=2, f_k=np.array([2.0e12, 1.0e12]))
 
+    @pytest.mark.parametrize("center", [1.0e10, 0.0, -1.0e12, math.inf,
+                                        -math.inf, math.nan])
+    def test_centered_outside_the_domain(self, center):
+        # a frequency is a model input: below 0 Hz or infinite is a
+        # DomainError, while from_edges keeps ValidationError for edges
+        with pytest.raises(DomainError, match="puts the band edges at"):
+            BandPlan.centered(center, 1.0e11, 4)
+
+    def test_centered_at_half_the_bandwidth(self):
+        band = BandPlan.centered(5.0e10, 1.0e11, 4)
+        assert band.f_k[0] == pytest.approx(1.25e10, rel=1e-15)
+
 
 class TestNoiseTemperature:
     def test_transparent_medium(self, env):

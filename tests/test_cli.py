@@ -226,6 +226,21 @@ class TestSweep:
         assert out == ""
         assert "axis range must be finite" in err
 
+    @pytest.mark.parametrize("args, values", [
+        (("--axis", "frequency", "--distances", "1e-4,1.0000001e-4"),
+         "0.0001 and 0.00010000001"),
+        (("--axis", "temperature", "--freqs", "1e12,1.0000001e12"),
+         "1000000000000.0 and 1000000100000.0"),
+        (("--axis", "pressure", "--freqs", "1.5e12,1.5e12"),
+         "1500000000000.0 and 1500000000000.0")],
+        ids=["distances", "temperature-freqs", "pressure-freqs"])
+    def test_repeated_column_name_exits_1(self, capsys, args, values):
+        code, out, err = run(capsys, "sweep", "--points", "3", *args)
+        assert code == 1
+        assert out == ""
+        assert values in err
+        assert "Traceback" not in err
+
     def test_gap_marker_column(self, capsys):
         lo = repr(NULL_FREQUENCY)
         hi = repr(NULL_FREQUENCY * 1.0001)
@@ -253,6 +268,37 @@ class TestSweep:
         text = target.read_text()
         assert text.startswith("distance_m,")
         assert "\r" not in text
+
+
+@pytest.mark.parametrize("argv", [
+    ("capacity", "--frequency", "1e10"),
+    ("capacity", "--frequency=-1e12"),
+    ("capacity", "--frequency", "inf"),
+    ("capacity", "--allocation", "flat", "--frequency", "0"),
+    ("sweep", "--axis", "temperature", "--points", "3", "--freqs", "1e10"),
+    ("sweep", "--axis", "temperature", "--points", "3", "--freqs", "-1e12"),
+    ("sweep", "--axis", "pressure", "--points", "3", "--freqs", "0"),
+    ("sweep", "--axis", "frequency", "--metric", "capacity", "--points",
+     "3", "--from", "1e10")],
+    ids=["capacity-1e10", "capacity-negative", "capacity-inf",
+         "capacity-flat-zero", "temperature-1e10", "temperature-negative",
+         "pressure-zero", "capacity-sweep-1e10"])
+def test_out_of_band_frequency_exits_2(capsys, argv):
+    """A frequency that puts the band below 0 Hz is a model-domain error,
+    as it is for `pathloss --frequency=-1e12`."""
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("model error:")
+    assert "Traceback" not in err
+
+
+def test_scenario_band_below_zero_exits_1(capsys, tmp_path):
+    path = write_scenario(tmp_path, {"band": {"center": 1.0e10}})
+    code, out, err = run(capsys, "capacity", "--scenario", path)
+    assert code == 1
+    assert out == ""
+    assert "band edges must satisfy" in err
 
 
 class TestCatalogResolution:

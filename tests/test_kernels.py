@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,25 @@ def test_blocks_cover_every_row(default_medium, env):
     for row in (0, n_rows // 2, n_rows - 1):
         assert np.array_equal(grid[row], kernels.kappa_totals(
             freqs, lines, float(temps[row]), env.p))
+
+
+def test_one_row_is_split_by_the_pair_budget(default_medium, env):
+    """A row with more pairs than BLOCK_PAIRS is evaluated in blocks of
+    points, so its temporaries stay bounded; each point's sum is its own."""
+    lines = default_medium.packed
+    freqs = np.linspace(0.5e12, 3.5e12,
+                        20 * kernels.BLOCK_PAIRS // len(lines) + 7)
+    tracemalloc.start()
+    row = kernels.kappa_totals(freqs, lines, env.t_s, env.p, 5.0e12)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    # a few per-point arrays plus a few block temporaries, in bytes; one
+    # lines x points temporary alone would be 20 blocks
+    assert peak < 8 * (8 * freqs.size + 8 * kernels.BLOCK_PAIRS)
+    step = kernels.BLOCK_PAIRS // len(lines)
+    for k in (0, step - 1, step, freqs.size - 1):
+        assert row[k] == pytest.approx(kernels.kappa_totals(
+            freqs[k:k + 1], lines, env.t_s, env.p, 5.0e12)[0], rel=1e-14)
 
 
 def test_one_row_shapes(default_medium, env):

@@ -180,6 +180,12 @@ class TestLinkBudget:
         # the conventional 4.343 dB/neper rounding stays within 1e-4
         assert abs(4.343 - 10.0 / math.log(10.0)) < 1e-4
 
+    @pytest.mark.parametrize("f", [-1.0e12, 0.0, math.nan])
+    def test_rejects_non_positive_frequency(self, geom, env, f):
+        # the transparent medium leaves the check to the two-ray term
+        with pytest.raises(DomainError, match="frequency must be > 0"):
+            link_budget_db(geom, Medium(composition={}), env, f, 1.0e-6)
+
     def test_rejects_non_positive_power(self, geom, env, water_medium):
         with pytest.raises(DomainError):
             link_budget_db(geom, water_medium, env, 1.0e12, 0.0)

@@ -65,22 +65,28 @@ def test_zero_width_range_rejected(default_scenario):
         sweep_capacity_vs_frequency(default_scenario, (1.0e12, 1.0e12), 5)
 
 
-@pytest.mark.parametrize("f_range", [(1.0e10, 3.0e12), (1.0e26, 1.0e27)],
-                         ids=["edge-below-zero", "subbands-collapse"])
-def test_invalid_band_aborts_capacity_sweep(default_scenario, f_range):
-    """The first axis value with an invalid band raises BandPlan's error."""
+@pytest.mark.parametrize("f_range, error", [
+    ((1.0e10, 3.0e12), DomainError), ((1.0e26, 1.0e27), ValidationError)],
+    ids=["edge-below-zero", "subbands-collapse"])
+def test_invalid_band_aborts_capacity_sweep(default_scenario, f_range,
+                                            error):
+    """The first axis value with an invalid band raises BandPlan's error.
+
+    A center frequency that pushes the band below 0 Hz is outside the
+    model's domain; subband centers that collapse are an invalid band.
+    """
     band = default_scenario.band
     expected = None
     for f in np.linspace(*f_range, 50).tolist():
         try:
             BandPlan.centered(f, band.b, band.k)
-        except ValidationError as exc:
-            expected = str(exc)
+        except (DomainError, ValidationError) as exc:
+            expected = exc
             break
-    assert expected is not None
-    with pytest.raises(ValidationError) as excinfo:
+    assert type(expected) is error
+    with pytest.raises(error) as excinfo:
         sweep_capacity_vs_frequency(default_scenario, f_range, 50)
-    assert str(excinfo.value) == expected
+    assert str(excinfo.value) == str(expected)
 
 
 def test_single_point_sweep(default_scenario):
@@ -147,6 +153,24 @@ def test_distance_sweep_single_scheme(default_scenario):
 def test_distance_sweep_outside_package_rejected(default_scenario, d_range):
     with pytest.raises(DomainError, match="d must satisfy"):
         sweep_capacity_vs_distance(default_scenario, d_range, 101)
+
+
+@pytest.mark.parametrize("run, values, unit", [
+    (lambda s, v: sweep_pathloss_vs_frequency(s, (1e12, 2e12), 3, v),
+     [1.0e-4, 2.0e-4, 1.0000001e-4], "m"),
+    (lambda s, v: sweep_pathloss_vs_frequency(s, (1e12, 2e12), 3, v),
+     [1.0e-4, 1.0e-4], "m"),
+    (lambda s, v: sweep_vs_temperature(s, (250.0, 400.0), 3, v),
+     [1.2e12, 1.0e12, 1.0000001e12], "Hz"),
+    (lambda s, v: sweep_vs_pressure(s, (20.0, 200.0), 3, v),
+     [1.0e12, 1.0000002e12], "Hz")],
+    ids=["distances", "same-distance", "temperature-freqs", "pressure-freqs"])
+def test_repeated_column_name_rejected(default_scenario, run, values, unit):
+    """Two inputs that print alike would give two columns one name."""
+    first, second = values[0 if unit == "m" else -2], values[-1]
+    with pytest.raises(ValidationError) as excinfo:
+        run(default_scenario, values)
+    assert f"{first!r} and {second!r}" in str(excinfo.value)
 
 
 @pytest.mark.parametrize("p_t", [math.inf, -1.0, math.nan])
