@@ -131,20 +131,20 @@ def test_criterion_4_water_filling_optimality(rng):
     started = time.perf_counter()
     instances = 500
     candidate_pool = -np.log(rng.random((1_000_000, 8)))
-    draws = []
+    by_k = {}  # the draws, grouped by subband count
     for _ in range(instances):
         k = int(rng.integers(2, 9))
         scale = 10.0 ** rng.uniform(-10.0, 0.0)
         psi = scale * rng.uniform(0.05, 20.0, size=k)
         p_t = scale * k * 10.0 ** rng.uniform(-2.0, 2.0)
-        draws.append((k, psi, p_t))
+        by_k.setdefault(k, []).append((psi, p_t))
     worst_deficit = 0.0
     kkt_failures = 0
     # the pool is normalized once per distinct k, not once per instance
-    for k in sorted({k for k, _, _ in draws}):
+    for k, group in sorted(by_k.items()):
         weights = candidate_pool[:, :k]
         shares = weights / weights.sum(axis=1, keepdims=True)
-        for psi, p_t in ((psi, p_t) for k_i, psi, p_t in draws if k_i == k):
+        for psi, p_t in group:
             out = water_filling(psi, p_t, delta_f=1.0)
 
             # KKT certificate and budget exhaustion

@@ -155,22 +155,21 @@ def test_distance_sweep_outside_package_rejected(default_scenario, d_range):
         sweep_capacity_vs_distance(default_scenario, d_range, 101)
 
 
-@pytest.mark.parametrize("run, values, unit", [
+@pytest.mark.parametrize("run, values, clash", [
     (lambda s, v: sweep_pathloss_vs_frequency(s, (1e12, 2e12), 3, v),
-     [1.0e-4, 2.0e-4, 1.0000001e-4], "m"),
+     [1.0e-4, 2.0e-4, 1.0000001e-4], (1.0e-4, 1.0000001e-4)),
     (lambda s, v: sweep_pathloss_vs_frequency(s, (1e12, 2e12), 3, v),
-     [1.0e-4, 1.0e-4], "m"),
+     [1.0e-4, 1.0e-4], (1.0e-4, 1.0e-4)),
     (lambda s, v: sweep_vs_temperature(s, (250.0, 400.0), 3, v),
-     [1.2e12, 1.0e12, 1.0000001e12], "Hz"),
+     [1.2e12, 1.0e12, 1.0000001e12], (1.0e12, 1.0000001e12)),
     (lambda s, v: sweep_vs_pressure(s, (20.0, 200.0), 3, v),
-     [1.0e12, 1.0000002e12], "Hz")],
+     [1.0e12, 1.0000002e12], (1.0e12, 1.0000002e12))],
     ids=["distances", "same-distance", "temperature-freqs", "pressure-freqs"])
-def test_repeated_column_name_rejected(default_scenario, run, values, unit):
+def test_repeated_column_name_rejected(default_scenario, run, values, clash):
     """Two inputs that print alike would give two columns one name."""
-    first, second = values[0 if unit == "m" else -2], values[-1]
     with pytest.raises(ValidationError) as excinfo:
         run(default_scenario, values)
-    assert f"{first!r} and {second!r}" in str(excinfo.value)
+    assert f"{clash[0]!r} and {clash[1]!r}" in str(excinfo.value)
 
 
 @pytest.mark.parametrize("p_t", [math.inf, -1.0, math.nan])
