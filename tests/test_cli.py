@@ -1,11 +1,15 @@
+import functools
 import json
 import re
 import warnings
 
 import pytest
+from test_grid_fixtures import gap_scenario, null_frequency
 
-from thzlink.cli import main
+from thzlink.cli import main, render_csv, render_table
+from thzlink.config import load_scenario
 from thzlink.constants import LIGHT_SPEED
+from thzlink.sweep import sweep_pathloss_vs_frequency, sweep_vs_temperature
 
 NULL_FREQUENCY = LIGHT_SPEED * 1.0e-4 / (2.0 * 2.0e-5 * 2.0e-5)
 
@@ -268,6 +272,63 @@ class TestSweep:
         text = target.read_text()
         assert text.startswith("distance_m,")
         assert "\r" not in text
+
+
+def reference_rows(result, spec):
+    """Header, then one row per axis value, built row by row from the
+    ``points`` and ``gaps`` views: gaps empty, reasons sorted and joined."""
+    gap_reasons = {}
+    for x, _column, reason in result.gaps:
+        gap_reasons.setdefault(x, set()).add(reason)
+    yield [f"{result.axis}_{result.unit}"] + result.columns + ["gap"]
+    for x, row in result.points:
+        cells = [f"{x:{spec}}"]
+        for column in result.columns:
+            value = row.get(column)
+            cells.append("" if value is None else f"{value:{spec}}")
+        cells.append(";".join(sorted(gap_reasons.get(x, ()))))
+        yield cells
+
+
+def reference_csv(result):
+    rows = reference_rows(result, ".12e")
+    return "\n".join(",".join(r) for r in rows) + "\n"
+
+
+def reference_table(result):
+    rows = list(reference_rows(result, ".6e"))
+    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
+    return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(r, widths))
+                     for r in rows) + "\n"
+
+
+@functools.lru_cache(maxsize=None)
+def long_sweep(name):
+    if name == "gap-temperature":
+        # every row mixes values with opaque and two-ray-null gaps
+        scenario = gap_scenario()
+        return sweep_vs_temperature(scenario, (250.0, 400.0), 3000,
+                                    [1.2e12, null_frequency(scenario)])
+    return sweep_pathloss_vs_frequency(load_scenario(), (1.0e12, 3.0e12),
+                                       20000, [1.0e-4, 1.0e-3, 1.0e-2, 2.0e-2])
+
+
+@pytest.mark.parametrize("name", ["gap-temperature", "spectrum"])
+@pytest.mark.parametrize("render, reference", [
+    (render_csv, reference_csv), (render_table, reference_table)],
+    ids=["csv", "pretty"])
+def test_render_matches_row_by_row_reference(name, render, reference):
+    """Long sweeps render, over many rows, byte for byte as the row-by-row
+    reference does."""
+    result = long_sweep(name)
+    text = render(result)
+    assert text == reference(result)
+    if name == "gap-temperature":
+        lines = text.split("\n")[1:-1]
+        assert len(lines) == 3000
+        assert {line.split()[-1] if render is render_table
+                else line.split(",")[-1]
+                for line in lines} == {"opaque;two-ray-null"}
 
 
 @pytest.mark.parametrize("argv", [
