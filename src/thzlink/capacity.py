@@ -73,15 +73,26 @@ class BandPlan:
     def centered(cls, center: float, bandwidth: float, k: int) -> "BandPlan":
         """The band around a model-domain frequency ``center`` [Hz].
 
-        A center that is not finite, or that puts the lower edge below
-        0 Hz, raises DomainError; the other checks are from_edges'.
+        A center that is not finite, that puts the lower edge below 0 Hz,
+        or so large that float64 cannot tell the band's edges or subband
+        centers apart raises DomainError; the other checks are
+        from_edges'.
         """
         f_lo, f_hi = center - bandwidth / 2.0, center + bandwidth / 2.0
         if not (f_lo >= 0 and center < math.inf):
             raise DomainError(
                 f"frequency {center!r} Hz puts the band edges at "
                 f"[{f_lo!r}, {f_hi!r}]; they must satisfy 0 <= f_lo < f_hi")
-        return cls.from_edges(f_lo, f_hi, k)
+        try:
+            return cls.from_edges(f_lo, f_hi, k)
+        except ValidationError:
+            # the same width and count at 0 Hz raise if they are invalid;
+            # if they are not, the center collapsed the band
+            cls.from_edges(0.0, bandwidth, k)
+            raise DomainError(
+                f"frequency {center!r} Hz is too large to split a "
+                f"{bandwidth!r} Hz band into {k} subbands in float64"
+            ) from None
 
 
 @dataclass(frozen=True)

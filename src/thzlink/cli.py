@@ -15,6 +15,8 @@ import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .absorption import Environment
 from .capacity import (BandPlan, channel_capacity,
                        flat_allocation_capacity)
@@ -32,6 +34,9 @@ AXIS_DEFAULTS = {
     "pressure": (20.0, 200.0),
     "distance": (1.0e-5, 1.0e-4),
 }
+
+# Sweep rows formatted at once: bounds the cells held before joining.
+RENDER_BLOCK_ROWS = 1 << 10
 
 
 @dataclass
@@ -231,19 +236,25 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
     return values
 
 
-def _rows(result: SweepResult, spec: str) -> Iterator[list[str]]:
-    """Header, then one row per axis value: gaps empty, reasons joined."""
-    gap_reasons: dict[float, set[str]] = {}
-    for x, _column, reason in result.gaps:
-        gap_reasons.setdefault(x, set()).add(reason)
-    yield [f"{result.axis}_{result.unit}"] + result.columns + ["gap"]
-    for x, row in result.points:
-        cells = [f"{x:{spec}}"]
-        for column in result.columns:
-            value = row.get(column)
-            cells.append("" if value is None else f"{value:{spec}}")
-        cells.append(";".join(sorted(gap_reasons.get(x, ()))))
-        yield cells
+def _rows(result: SweepResult, spec: str) -> Iterator[tuple[str, ...]]:
+    """Header, then one row per axis value: gaps empty, reasons joined.
+
+    Rows are formatted a block at a time, one column at a time.
+    """
+    yield (f"{result.axis}_{result.unit}", *result.columns, "gap")
+    for start in range(0, len(result.samples), RENDER_BLOCK_ROWS):
+        block = slice(start, start + RENDER_BLOCK_ROWS)
+        cells = [(values[block].tolist(), reasons[block])
+                 for values, reasons in result.cells.values()]
+        columns = [[f"{x:{spec}}" for x in result.samples[block].tolist()]]
+        columns += [["" if why else f"{value:{spec}}"
+                     for value, why in zip(values, reasons)]
+                    for values, reasons in cells]
+        gap = [""] * len(columns[0])
+        gapped = np.any([reasons != "" for _, reasons in cells], axis=0)
+        for i in np.flatnonzero(gapped).tolist():
+            gap[i] = ";".join(sorted({why[i] for _, why in cells} - {""}))
+        yield from zip(*columns, gap)
 
 
 def render_csv(result: SweepResult) -> str:

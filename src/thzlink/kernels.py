@@ -92,7 +92,16 @@ def _factors(freqs, lines: LineArrays, t_s, p):
            * (lines.q * lines.intensity))
     a = PLANCK / (2.0 * BOLTZMANN * t_s)
     weight = amp * alpha / (np.pi * f_c * f_c * np.tanh(a * f_c))
+    # 0 < tanh(a f) <= 1, so f^2 tanh(a f) overflows where f^2 does, and
+    # its smallest value shows whether any underflowed to 0
+    outside = "frequency {!r} Hz puts f^2 tanh(a f) outside float64"
+    if not highest * highest < np.inf:
+        raise DomainError(outside.format(highest))
     g = freqs * freqs * np.tanh(a * freqs)
+    smallest = g.argmin()
+    if not g.flat[smallest] > 0:
+        raise DomainError(outside.format(
+            float(np.broadcast_to(freqs, g.shape).flat[smallest])))
     return shape, (freqs, g, np.broadcast_to(f_c, weight.shape),
                    alpha * alpha, weight)
 
@@ -125,8 +134,9 @@ def kappa_totals(freqs, lines: LineArrays, t_s, p,
     The result is (K,) for one row and (R, K) otherwise. Lines farther
     than ``cutoff`` [Hz] from a frequency contribute zero there. With no
     lines the result is all zeros; otherwise a frequency that is not > 0
-    and finite, or a line whose pressure-shifted center is <= 0, raises
-    DomainError.
+    and finite, or that puts the per-point factor f^2 tanh(a f) outside
+    finite, non-zero float64, or a line whose pressure-shifted center is
+    <= 0, raises DomainError.
     """
     shape, terms = _factors(freqs, lines, t_s, p)
     if terms is None:

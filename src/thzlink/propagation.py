@@ -123,19 +123,31 @@ def two_ray_grid(geom: LinkGeometry, f, epsilon_r: float, d) -> tuple:
     """Sine, null mask and squared spreading term over broadcasting f, d.
 
     The vectorized terms of :func:`dielectric_path_loss`; raises
-    DomainError for a frequency that is not finite.
+    DomainError for a frequency that is not finite, and as
+    dielectric_path_loss for a term outside float64.
     """
     f = np.asarray(f, dtype=np.float64)
-    finite = np.isfinite(f)
-    if not finite.all():
-        raise DomainError(
-            f"frequency must be finite, got {float(f[~finite][0])!r}")
-    argument = (2.0 * math.pi * geom.h_t * geom.h_r * f
-                * math.sqrt(epsilon_r) / (LIGHT_SPEED * d))
+    with np.errstate(over="ignore"):
+        argument = (2.0 * math.pi * geom.h_t * geom.h_r * f
+                    * math.sqrt(epsilon_r) / (LIGHT_SPEED * d))
+        spreading2 = (2.0 * math.pi * d * f / LIGHT_SPEED) ** 2
+    for term in (argument, spreading2):  # its extremes show any outlier
+        for i in (term.argmin(), term.argmax()):
+            if not 0 < term.flat[i] < np.inf:
+                f_i, d_i = (float(np.broadcast_to(x, term.shape).flat[i])
+                            for x in (f, d))
+                if not math.isfinite(f_i):
+                    raise DomainError(f"frequency must be finite, got {f_i!r}")
+                raise _outside_float64(f_i, d_i)
     sine = np.sin(argument)
     null = np.abs(sine) < NULL_SINE_TOLERANCE
-    spreading2 = (2.0 * math.pi * d * f / LIGHT_SPEED) ** 2
     return sine, null, spreading2
+
+
+def _outside_float64(f: float, d: float) -> DomainError:
+    return DomainError(
+        f"frequency {f!r} Hz at distance {d!r} m puts the two-ray terms "
+        f"outside float64")
 
 
 def _check_distance(geom: LinkGeometry, d: float):
@@ -150,8 +162,9 @@ def dielectric_path_loss(geom: LinkGeometry, f: float, epsilon_r: float,
 
     Raises TwoRayNullError when the sine argument lands on a multiple of
     pi, where the model itself diverges, and DomainError for a frequency
-    that is not > 0 and finite; ``d`` overrides ``geom.d`` for distance
-    sweeps.
+    that is not > 0 and finite, or a frequency and distance that put the
+    sine argument or the squared spreading term outside finite, non-zero
+    float64; ``d`` overrides ``geom.d`` for distance sweeps.
     """
     if not f > 0:
         raise DomainError(f"frequency must be > 0, got {f!r}")
@@ -160,10 +173,13 @@ def dielectric_path_loss(geom: LinkGeometry, f: float, epsilon_r: float,
     else:
         _check_distance(geom, d)
     argument = two_ray_argument(geom, f, epsilon_r, d)
+    spreading = 2.0 * math.pi * d * f / LIGHT_SPEED
+    # a float's ** raises OverflowError where * gives inf
+    if not (0 < argument < math.inf and 0 < spreading * spreading < math.inf):
+        raise _outside_float64(f, d)
     sine = math.sin(argument)
     if abs(sine) < NULL_SINE_TOLERANCE:
         raise TwoRayNullError(argument, frequency=f)
-    spreading = 2.0 * math.pi * d * f / LIGHT_SPEED
     return spreading ** 2 * epsilon_r / (geom.g_t * geom.g_r) / sine ** 2
 
 

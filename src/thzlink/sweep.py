@@ -9,8 +9,9 @@ recorded as explicit gap rows rather than interpolated.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,25 +54,56 @@ class Scenario:
             object.__setattr__(self, "medium",
                                self.medium.without_absorption())
 
-    def conventional(self) -> "Scenario":
-        return replace(self, medium=self.medium.without_absorption(),
-                       baseline=True)
 
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SweepResult:
     """Axis samples with one value column per (model, metric) pair.
 
-    ``points`` maps each axis value to a column->value dict; a column is
-    absent from a row when that point gapped, and ``gaps`` lists every
-    (axis value, column, reason) skipped.
+    ``cells`` maps each column, in order, to (values, reasons) arrays
+    along ``samples``; a cell with a reason is a gap. Row views, built on
+    first use: ``points`` pairs each axis value with a column->value dict
+    of its cells that did not gap, and ``gaps`` lists every (axis value,
+    column, reason) skipped.
     """
 
     axis: str
     unit: str
-    columns: list[str]
-    points: list[tuple[float, dict[str, float]]] = field(default_factory=list)
-    gaps: list[tuple[float, str, str]] = field(default_factory=list)
+    samples: np.ndarray
+    cells: dict[str, tuple[np.ndarray, np.ndarray]]
+
+    @property
+    def columns(self) -> list[str]:
+        return list(self.cells)
+
+    @functools.cached_property
+    def _row_views(self) -> tuple[list, list]:
+        points, gaps = [], []
+        columns = [(column, values.tolist(), reasons)
+                   for column, (values, reasons) in self.cells.items()]
+        for i, x in enumerate(self.samples.tolist()):
+            row: dict[str, float] = {}
+            for column, values, reasons in columns:
+                if reasons[i]:
+                    gaps.append((x, column, reasons[i]))
+                else:
+                    row[column] = values[i]
+            points.append((x, row))
+        return points, gaps
+
+    @property
+    def points(self) -> list[tuple[float, dict[str, float]]]:
+        return self._row_views[0]
+
+    @property
+    def gaps(self) -> list[tuple[float, str, str]]:
+        return self._row_views[1]
+
+    def __eq__(self, other):
+        if not isinstance(other, SweepResult):
+            return NotImplemented
+        return ((self.axis, self.unit, self.columns, self.points, self.gaps)
+                == (other.axis, other.unit, other.columns, other.points,
+                    other.gaps))
 
 
 def _axis_values(lo: float, hi: float, n_points: int, log_axis: bool
@@ -124,33 +156,13 @@ def sweep_pathloss_vs_frequency(scenario: Scenario,
     kappa = {model: kappa_over_grid(medium, freqs, scenario.env)
              for model, medium in models}
     geom, eps = scenario.geom, scenario.medium.epsilon_r
-    cells = []
+    cells = {}
     for d, label in zip(d_values, _labels(d_values, "m")):
         _check_distance(geom, d)
-        cells += [(f"L_db_{model}_d{label}",
-                   _pathloss_cells(geom, eps, freqs, kappa[model], d))
-                  for model, _ in models]
-    return _filled("frequency", "Hz", freqs, cells)
-
-
-def _filled(axis: str, unit: str, xs, cells) -> SweepResult:
-    """One row per axis value from (column, (values, reasons)) pairs.
-
-    A cell whose reason is not empty is a gap.
-    """
-    result = SweepResult(axis=axis, unit=unit,
-                         columns=[column for column, _ in cells])
-    columns = [(column, values.tolist(), reasons)
-               for column, (values, reasons) in cells]
-    for i, x in enumerate(xs.tolist()):
-        row: dict[str, float] = {}
-        for column, values, reasons in columns:
-            if reasons[i]:
-                result.gaps.append((x, column, reasons[i]))
-            else:
-                row[column] = values[i]
-        result.points.append((x, row))
-    return result
+        for model, _ in models:
+            cells[f"L_db_{model}_d{label}"] = _pathloss_cells(
+                geom, eps, freqs, kappa[model], d)
+    return SweepResult("frequency", "Hz", freqs, cells)
 
 
 def _capacity_cells(scenario: Scenario, medium: Medium, schemes, f_k, kappa,
@@ -196,14 +208,14 @@ def sweep_capacity_vs_frequency(scenario: Scenario,
     f_k = np.array([band.f_k for band in bands])
     delta_f = np.array([[band.delta_f] for band in bands])
     env = scenario.env
-    cells = []
+    cells = {}
     for model, medium in _model_media(scenario):
         kappa = kernels.kappa_totals(f_k, medium.packed, env.t_s, env.p,
                                      DEFAULT_WING_CUTOFF)
-        cells.append((f"C_bps_{model}", _capacity_cells(
+        cells[f"C_bps_{model}"] = _capacity_cells(
             scenario, medium, ["waterfilling"], f_k, kappa, scenario.geom.d,
-            env.t_s, delta_f)["waterfilling"]))
-    return _filled("frequency", "Hz", freqs, cells)
+            env.t_s, delta_f)["waterfilling"]
+    return SweepResult("frequency", "Hz", freqs, cells)
 
 
 def _pathloss_cells(geom: LinkGeometry, epsilon_r: float, f, kappa, d
@@ -237,7 +249,7 @@ def _environment_sweep(scenario: Scenario, axis: str, unit: str, xs, t_s, p,
     Environment(t_s=float(np.min(t_s)), p=float(np.min(p)))
     geom = scenario.geom
     t_col = t_s[:, None] if np.ndim(t_s) else t_s
-    cells = []
+    cells = {}
     for f, label in zip(f_values, _labels(f_values, "Hz")):
         band = BandPlan.centered(f, scenario.band.b, scenario.band.k)
         freqs = np.concatenate(([f], band.f_k))
@@ -245,12 +257,12 @@ def _environment_sweep(scenario: Scenario, axis: str, unit: str, xs, t_s, p,
             suffix = f"{model}_f{label}"
             kappa = kernels.kappa_totals(freqs, medium.packed, t_s, p,
                                          DEFAULT_WING_CUTOFF)
-            cells.append((f"L_db_{suffix}", _pathloss_cells(
-                geom, medium.epsilon_r, f, kappa[:, 0], geom.d)))
-            cells.append((f"C_bps_{suffix}", _capacity_cells(
+            cells[f"L_db_{suffix}"] = _pathloss_cells(
+                geom, medium.epsilon_r, f, kappa[:, 0], geom.d)
+            cells[f"C_bps_{suffix}"] = _capacity_cells(
                 scenario, medium, ["waterfilling"], band.f_k, kappa[:, 1:],
-                geom.d, t_col, band.delta_f)["waterfilling"]))
-    return _filled(axis, unit, xs, cells)
+                geom.d, t_col, band.delta_f)["waterfilling"]
+    return SweepResult(axis, unit, xs, cells)
 
 
 def sweep_vs_temperature(scenario: Scenario, t_range: tuple[float, float],
@@ -293,15 +305,15 @@ def sweep_capacity_vs_distance(scenario: Scenario,
     for d in (distances[0], distances[-1]):  # the axis is monotonic
         _check_distance(geom, float(d))
     band, env = scenario.band, scenario.env
-    cells = []
+    cells = {}
     for model, medium in _model_media(scenario):
         kappa = kappa_over_grid(medium, band.f_k, env)
         by_scheme = _capacity_cells(scenario, medium, schemes, band.f_k,
                                     kappa, distances[:, None], env.t_s,
                                     band.delta_f)
-        cells += [(f"C_bps_{model}_{scheme}", by_scheme[scheme])
-                  for scheme in schemes]
-    return _filled("distance", "m", distances, cells)
+        cells.update((f"C_bps_{model}_{scheme}", by_scheme[scheme])
+                     for scheme in schemes)
+    return SweepResult("distance", "m", distances, cells)
 
 
 __all__ = [

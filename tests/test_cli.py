@@ -1,9 +1,13 @@
+import contextlib
 import functools
+import io
 import json
 import re
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_grid_fixtures import gap_scenario, null_frequency
 
 from thzlink.cli import main, render_csv, render_table
@@ -340,10 +344,15 @@ def test_render_matches_row_by_row_reference(name, render, reference):
     ("sweep", "--axis", "temperature", "--points", "3", "--freqs", "-1e12"),
     ("sweep", "--axis", "pressure", "--points", "3", "--freqs", "0"),
     ("sweep", "--axis", "frequency", "--metric", "capacity", "--points",
-     "3", "--from", "1e10")],
+     "3", "--from", "1e10"),
+    ("capacity", "--frequency", "1e26"),
+    ("capacity", "--frequency", "1e155"),
+    ("sweep", "--axis", "frequency", "--metric", "capacity", "--from",
+     "1e155", "--to", "1e156", "--points", "2")],
     ids=["capacity-1e10", "capacity-negative", "capacity-inf",
          "capacity-flat-zero", "temperature-1e10", "temperature-negative",
-         "pressure-zero", "capacity-sweep-1e10"])
+         "pressure-zero", "capacity-sweep-1e10", "capacity-subbands-collapse",
+         "capacity-edges-collapse", "capacity-sweep-edges-collapse"])
 def test_out_of_band_frequency_exits_2(capsys, argv):
     """A frequency that puts the band below 0 Hz is a model-domain error,
     as it is for `pathloss --frequency=-1e12`."""
@@ -352,6 +361,27 @@ def test_out_of_band_frequency_exits_2(capsys, argv):
     assert out == ""
     assert err.startswith("model error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("pathloss", "--frequency", "1e300"),
+    ("pathloss", "--distance", "1e-300"),
+    ("pathloss", "--frequency", "1e160", "--format", "csv"),
+    ("sweep", "--axis", "frequency", "--from", "1e300", "--to", "1e301",
+     "--points", "3"),
+    ("sweep", "--axis", "frequency", "--distances", "1e-300", "--points",
+     "2")],
+    ids=["spreading-overflows", "argument-overflows", "kernel-overflows",
+         "sweep-overflows", "sweep-argument-overflows"])
+def test_term_outside_float64_exits_2(capsys, argv):
+    """A frequency or distance that overflows a two-ray or kernel term is
+    a one-line model error, never a traceback or a nan cell."""
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("model error:")
+    assert err.count("\n") == 1
+    assert "outside float64" in err
 
 
 def test_scenario_band_below_zero_exits_1(capsys, tmp_path):
@@ -400,3 +430,64 @@ class TestOverrides:
         code, _, err = run(capsys, "pathloss", "--scenario", path)
         assert code == 1
         assert "unknown scenario keys" in err
+
+
+# Values every numeric flag may take, then each flag's typical values.
+FUZZ_VALUES = ["0", "-1", "nan", "inf", "-inf", "1e-300", "1e26", "1e155",
+               "1e300"]
+TYPICAL = {"--frequency": ["1.2e12"], "--power": ["1e-6"],
+           "--distance": ["1e-4"], "--temperature": ["296"],
+           "--pressure": ["1"], "--from": ["1e-5", "250", "20", "1e12"],
+           "--to": ["1e-4", "400", "200", "3e12"]}
+
+
+@st.composite
+def float_lists(draw):
+    values = draw(st.lists(st.sampled_from(FUZZ_VALUES + ["1e-4", "1.2e12"]),
+                           min_size=1, max_size=3))
+    return draw(st.sampled_from(["", ",", "nan", ",".join(values),
+                                 ",".join(values + values[:1])]))
+
+
+@st.composite
+def cli_argvs(draw):
+    """A pathloss, capacity or sweep command with a random mix of flags."""
+    command = draw(st.sampled_from(["pathloss", "capacity", "sweep"]))
+    argv = [command]
+    numeric = [flag for flag in TYPICAL
+               if command == "sweep" or flag not in ("--from", "--to")]
+    for flag in draw(st.lists(st.sampled_from(numeric), unique=True)):
+        value = draw(st.sampled_from(FUZZ_VALUES + TYPICAL[flag]))
+        argv += draw(st.sampled_from([[flag, value], [f"{flag}={value}"]]))
+    if draw(st.booleans()):
+        argv.append("--baseline")
+    if command == "capacity" and draw(st.booleans()):
+        argv += ["--allocation", draw(st.sampled_from(["waterfilling",
+                                                       "flat"]))]
+    if command == "sweep":
+        argv += ["--axis", draw(st.sampled_from(
+                     ["frequency", "temperature", "pressure", "distance"])),
+                 "--points", str(draw(st.integers(0, 3)))]
+        optional = {"--log": [], "--metric": ["pathloss", "capacity"],
+                    "--allocation": ["waterfilling", "flat", "both"],
+                    "--distances": None, "--freqs": None}
+        for flag in draw(st.lists(st.sampled_from(sorted(optional)),
+                                  unique=True)):
+            choices = optional[flag]
+            if choices is None:
+                argv += [flag, draw(float_lists())]
+            else:
+                argv += [flag] + ([draw(st.sampled_from(choices))]
+                                  if choices else [])
+    return argv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(cli_argvs())
+def test_exit_code_contract_holds_for_any_flags(argv):
+    """Any flag mix exits 0, 1 or 2, and no exception escapes main."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

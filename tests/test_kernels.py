@@ -51,6 +51,8 @@ def test_grid_rejects_what_scalar_rejects(default_medium, env, line_factory):
     cases = [(default_medium, -1.0e12, "frequency must be > 0"),
              (default_medium, 0.0, "frequency must be > 0"),
              (default_medium, np.inf, "frequency must be finite"),
+             (default_medium, 1.0e160, r"1e\+160 Hz puts f\^2 tanh"),
+             (default_medium, 1.0e-300, r"1e-300 Hz puts f\^2 tanh"),
              (shifted_medium, 1.0e12, "pressure shift drives resonance")]
     for medium, f, message in cases:
         with pytest.raises(DomainError, match=message):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from thzlink.errors import DomainError, TwoRayNullError, ValidationError
 from thzlink.propagation import (LinkGeometry, db, dielectric_path_loss,
                                  link_budget_db, phase_difference,
                                  phase_velocity, total_path_loss,
-                                 two_ray_argument)
+                                 two_ray_argument, two_ray_grid)
 from thzlink.spectro import Medium
 
 # frequency putting the default-geometry sine argument exactly on pi
@@ -90,6 +91,19 @@ class TestDielectricPathLoss:
             dielectric_path_loss(geom, f, 1.0)
         with pytest.raises(DomainError, match="frequency must be finite"):
             two_ray_argument(geom, f, 1.0)
+
+    @pytest.mark.parametrize("f, d", [(1.0e300, 1.0e-4), (1.0e12, 1.0e-300),
+                                      (1.0e-300, 1.0e-4)],
+                             ids=["spreading-overflows", "argument-overflows",
+                                  "spreading-underflows"])
+    def test_terms_outside_float64_rejected(self, geom, f, d):
+        """The scalar path and two_ray_grid reject the same point."""
+        message = f"frequency {f!r} Hz at distance {d!r} m"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            dielectric_path_loss(geom, f, 1.0, d=d)
+        with pytest.raises(DomainError, match=re.escape(message)):
+            two_ray_grid(geom, np.array([1.0e12, f]), 1.0,
+                         np.array([[1.0e-4], [d]]))
 
 
 class TestLinkGeometry:
