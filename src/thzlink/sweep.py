@@ -101,9 +101,8 @@ class SweepResult:
     def __eq__(self, other):
         if not isinstance(other, SweepResult):
             return NotImplemented
-        return ((self.axis, self.unit, self.columns, self.points, self.gaps)
-                == (other.axis, other.unit, other.columns, other.points,
-                    other.gaps))
+        return ((self.axis, self.unit, self.columns, self._row_views)
+                == (other.axis, other.unit, other.columns, other._row_views))
 
 
 def _axis_values(lo: float, hi: float, n_points: int, log_axis: bool
