@@ -51,10 +51,10 @@ class Environment:
 
     def __post_init__(self):
         problems = []
-        if not self.t_s > 0:
-            problems.append(f"t_s must be > 0, got {self.t_s!r}")
-        if not self.p > 0:
-            problems.append(f"p must be > 0, got {self.p!r}")
+        if not 0 < self.t_s < math.inf:
+            problems.append(f"t_s must be finite and > 0, got {self.t_s!r}")
+        if not 0 < self.p < math.inf:
+            problems.append(f"p must be finite and > 0, got {self.p!r}")
         if problems:
             raise ValidationError(problems)
 
@@ -164,8 +164,9 @@ def kappa_over_grid(medium: Medium, freqs, env: Environment,
                     ) -> np.ndarray:
     """Total kappa [1/m] on a frequency grid via the hot kernel.
 
-    Raises DomainError for a medium with lines when a grid frequency is
-    not > 0 and finite, or a line's pressure-shifted center is <= 0.
+    Raises DomainError for a medium with lines as kernels.kappa_totals
+    does: for a grid frequency that is not > 0 and finite, a line's
+    pressure-shifted center <= 0, or a factor outside float64.
     """
     cutoff = np.inf if wing_cutoff is None else float(wing_cutoff)
     return kernels.kappa_totals(freqs, medium.packed, env.t_s, env.p, cutoff)

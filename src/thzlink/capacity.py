@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .absorption import DEFAULT_WING_CUTOFF, Environment, kappa_over_grid
-from .constants import BOLTZMANN, LIGHT_SPEED, T_REF
+from .constants import BOLTZMANN, T_REF
 from .errors import (ApproximationRegimeError, DomainError, TwoRayNullError,
                      ValidationError)
 from .propagation import (LinkGeometry, _check_distance, two_ray_argument,
@@ -153,14 +153,12 @@ def psi_grid(geom: LinkGeometry, epsilon_r: float, f_k, kappa, d, t_s,
     ``delta_f`` are scalars or (R, 1) columns; everything broadcasts to
     (R, K). Opaque cells saturate to +inf. Also returns the mask of cells
     whose subband center sits on a two-ray null, where the floor is
-    meaningless. Raises DomainError for a frequency that is not finite.
+    meaningless. Raises DomainError as two_ray_grid does.
     """
-    sine, null, spreading2 = two_ray_grid(geom, f_k, epsilon_r, d)
-    with np.errstate(divide="ignore", over="ignore"):
-        csc2 = 1.0 / (sine * sine)
+    l_d, null = two_ray_grid(geom, f_k, epsilon_r, d)
+    with np.errstate(over="ignore"):
         bracket = (t_s + T_REF) * np.exp(kappa * d) - T_REF
-        psi = (BOLTZMANN * epsilon_r / (geom.g_t * geom.g_r)
-               * spreading2 * delta_f * csc2 * bracket)
+        psi = BOLTZMANN * l_d * delta_f * bracket
     return psi, np.broadcast_to(null, psi.shape)
 
 
@@ -308,8 +306,8 @@ def approx_capacity_small_antenna(geom: LinkGeometry, medium: Medium,
     Phi_k = k_B d^4 delta_f [T_S + (T_S + T_ref) kappa_k d] / (h_t^2 h_r^2),
     which drops the csc^2 oscillation and the permittivity factor.
     """
-    regime = (geom.h_t * geom.h_r * float(band.f_k[-1])
-              * math.sqrt(medium.epsilon_r) / (LIGHT_SPEED * d))
+    regime = (two_ray_argument(geom, float(band.f_k[-1]), medium.epsilon_r, d)
+              / (2.0 * math.pi))
     if regime >= APPROX_REGIME_LIMIT:
         raise ApproximationRegimeError(
             f"antenna size measure {regime:.4g} >= {APPROX_REGIME_LIMIT}; "

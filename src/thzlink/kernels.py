@@ -59,12 +59,18 @@ def pack_lines(medium) -> LineArrays:
 BLOCK_PAIRS = 1 << 13
 
 
+def _at(condition, row: int) -> float:
+    """A per-row temperature or pressure's value at ``row``, or the scalar."""
+    return float(condition[row, 0] if np.ndim(condition) else condition)
+
+
 def _factors(freqs, lines: LineArrays, t_s, p):
     """A call's result shape and, with lines and points, its factors: per
     point f and g, per line f_c, alpha^2 and w. Raises as kappa_totals."""
     freqs = np.asarray(freqs, dtype=np.float64)
-    # per-row conditions become (R, 1) columns; scalars stay scalars
-    t_s, p = (x if isinstance(x, float) or np.ndim(x) == 0 else
+    # per-row conditions become (R, 1) columns; scalars become numpy's, whose
+    # division by an underflowed 0 gives inf, as an array's does, not an error
+    t_s, p = (np.float64(x) if isinstance(x, float) or np.ndim(x) == 0 else
               np.asarray(x, dtype=np.float64).reshape(-1, 1) for x in (t_s, p))
     shape = np.broadcast(freqs, t_s, p).shape
     if len(lines) == 0 or freqs.size == 0:
@@ -76,40 +82,56 @@ def _factors(freqs, lines: LineArrays, t_s, p):
     highest = float(freqs.flat[freqs.argmax()])
     if not highest < np.inf:
         raise DomainError(f"frequency must be finite, got {highest!r}")
-    f_c = lines.f_c0 + lines.pressure_shift * (p / P_REF)
+    # every factor is checked below, NaN and inf included
+    with np.errstate(all="ignore"):
+        f_c = lines.f_c0 + lines.pressure_shift * (p / P_REF)
+        alpha = (((1.0 - lines.q) * lines.alpha_air
+                  + lines.q * lines.alpha_self)
+                 * ((p / P_REF) * (T_REF / t_s) ** lines.temp_exponent))
+        # one Avogadro factor total: it lives inside `intensity` [m^2 Hz/mol],
+        # so the volumetric density here is molar [mol/m^3]
+        amp = ((p / P_REF) * (T_STP / t_s) * (p / (GAS_CONSTANT_ATM * t_s))
+               * (lines.q * lines.intensity))
+        a = PLANCK / (2.0 * BOLTZMANN * t_s)
+        weight = amp * alpha / (np.pi * f_c * f_c * np.tanh(a * f_c))
+        alpha2 = alpha * alpha
+        g = freqs * freqs * np.tanh(a * freqs)
     nearest = int(f_c.argmin())
     if not f_c.flat[nearest] > 0:
         row, j = divmod(nearest, len(lines))
         raise DomainError(
             f"pressure shift drives resonance of line {j} to "
-            f"{float(f_c.flat[nearest])!r} Hz at "
-            f"p={float(p[row, 0]) if np.ndim(p) else p} atm")
-    alpha = (((1.0 - lines.q) * lines.alpha_air + lines.q * lines.alpha_self)
-             * ((p / P_REF) * (T_REF / t_s) ** lines.temp_exponent))
-    # one Avogadro factor total: it lives inside `intensity` [m^2 Hz/mol],
-    # so the volumetric density here is molar [mol/m^3]
-    amp = ((p / P_REF) * (T_STP / t_s) * (p / (GAS_CONSTANT_ATM * t_s))
-           * (lines.q * lines.intensity))
-    a = PLANCK / (2.0 * BOLTZMANN * t_s)
-    weight = amp * alpha / (np.pi * f_c * f_c * np.tanh(a * f_c))
+            f"{float(f_c.flat[nearest])!r} Hz at p={_at(p, row)!r} atm")
+    # w >= 0 has alpha as a factor, so its largest value shows either one
+    # outside float64, and argmax returns a NaN first
+    largest = int(weight.argmax())
+    if not weight.flat[largest] < np.inf:
+        row = largest // len(lines)
+        raise DomainError(
+            f"temperature {_at(t_s, row)!r} K at pressure {_at(p, row)!r} atm "
+            f"puts the line widths or weights outside float64")
     # 0 < tanh(a f) <= 1, so f^2 tanh(a f) overflows where f^2 does, and
     # its smallest value shows whether any underflowed to 0
     outside = "frequency {!r} Hz puts f^2 tanh(a f) outside float64"
     if not highest * highest < np.inf:
         raise DomainError(outside.format(highest))
-    g = freqs * freqs * np.tanh(a * freqs)
     smallest = g.argmin()
     if not g.flat[smallest] > 0:
         raise DomainError(outside.format(
             float(np.broadcast_to(freqs, g.shape).flat[smallest])))
-    return shape, (freqs, g, np.broadcast_to(f_c, weight.shape),
-                   alpha * alpha, weight)
+    if f_c.shape != weight.shape:  # per-row t_s at one p; broadcast_to is slow
+        f_c = np.broadcast_to(f_c, weight.shape)
+    return shape, (freqs, g, f_c, alpha2, weight)
 
 
 def _weighted_poles(f, f_c, alpha2, weight, cutoff) -> np.ndarray:
-    """w_j times the poles, 0 beyond the cutoff, (..., lines, K), for (K,)
-    or (B, K) points and (lines,) or (B, lines) line factors (1-D: any row)."""
-    f, fc, a2 = f[..., None, :], f_c[..., None], alpha2[..., None]
+    """w_j times the poles, 0 beyond the cutoff, (..., K, lines), for (K,)
+    or (B, K) points and (lines,) or (B, lines) line factors (1-D: any row).
+
+    Lines run along the last, contiguous axis, so numpy sums each point's
+    lines in the same (pairwise) order whatever the block's shape, and a
+    point's kappa has the same bits alone, in any block or in any row."""
+    f, fc, a2 = f[..., None], f_c[..., None, :], alpha2[..., None, :]
     # in place, as allocating temporaries costs more than their arithmetic;
     # f_c has every line factor's shape, so dm and dp have the block's
     dm = f - fc
@@ -120,7 +142,7 @@ def _weighted_poles(f, f_c, alpha2, weight, cutoff) -> np.ndarray:
     dp *= dp
     dp += a2
     terms += np.reciprocal(dp, out=dp)
-    terms *= weight[..., None]
+    terms *= weight[..., None, :]
     terms[np.abs(dm) > cutoff] = 0.0
     return terms
 
@@ -136,14 +158,15 @@ def kappa_totals(freqs, lines: LineArrays, t_s, p,
     lines the result is all zeros; otherwise a frequency that is not > 0
     and finite, or that puts the per-point factor f^2 tanh(a f) outside
     finite, non-zero float64, or a line whose pressure-shifted center is
-    <= 0, raises DomainError.
+    <= 0, or a temperature and pressure that put a line's weight outside
+    finite float64, raises DomainError.
     """
     shape, terms = _factors(freqs, lines, t_s, p)
     if terms is None:
         return np.zeros(shape)
     f, g, *per_line = terms
     if len(lines) * math.prod(shape) <= BLOCK_PAIRS:  # one block
-        return g * _weighted_poles(f, *per_line, cutoff).sum(axis=-2)
+        return g * _weighted_poles(f, *per_line, cutoff).sum(axis=-1)
     points = max(1, min(shape[-1], BLOCK_PAIRS // len(lines)))
     rows = max(1, BLOCK_PAIRS // (len(lines) * points))
     out = np.empty(shape)
@@ -154,7 +177,7 @@ def kappa_totals(freqs, lines: LineArrays, t_s, p,
         for k in range(0, shape[-1], points):
             cols = slice(k, k + points)
             by_row[r:r + rows, cols] = g[..., cols] * _weighted_poles(
-                f[..., cols], *per_line, cutoff).sum(axis=-2)
+                f[..., cols], *per_line, cutoff).sum(axis=-1)
     return out
 
 
@@ -166,7 +189,8 @@ def line_contributions(freqs, lines: LineArrays, t_s, p,
     if terms is None:
         return np.zeros(shape[:-1] + (len(lines),) + shape[-1:])
     f, g, *per_line = terms
-    return g[..., None, :] * _weighted_poles(f, *per_line, cutoff)
+    return np.swapaxes(g[..., None] * _weighted_poles(f, *per_line, cutoff),
+                       -1, -2)
 
 
 def active_backend() -> str:

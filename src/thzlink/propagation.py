@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .absorption import (DEFAULT_OVERFLOW_CAP, DEFAULT_WING_CUTOFF,
-                         Environment, kappa_over_grid, maa)
+                         Environment, kappa_over_grid)
 from .constants import LIGHT_SPEED
 from .errors import DomainError, TwoRayNullError, ValidationError
 from .spectro import Medium
@@ -103,84 +103,107 @@ def phase_velocity(epsilon_r: float) -> float:
 
 def phase_difference(geom: LinkGeometry, f: float, epsilon_r: float) -> float:
     """Phase offset between direct and reflected E-field components [rad]."""
-    return 4.0 * math.pi * geom.h_t * geom.h_r * f / (phase_velocity(epsilon_r) * geom.d)
+    return 2.0 * two_ray_argument(geom, f, epsilon_r)
 
 
-def two_ray_argument(geom: LinkGeometry, f: float, epsilon_r: float,
-                     d: float | None = None) -> float:
-    """Argument of the two-ray sine (half the phase difference) [rad]."""
-    if not math.isfinite(f):
-        raise DomainError(f"frequency must be finite, got {f!r}")
+def _sine_argument(geom: LinkGeometry, f, epsilon_r: float, d):
+    """2 pi h_t h_r f sqrt(epsilon_r) / (c d), over floats or arrays."""
     if not epsilon_r >= 1.0:
         raise DomainError(f"epsilon_r must be >= 1, got {epsilon_r!r}")
-    if d is None:
-        d = geom.d
     return (2.0 * math.pi * geom.h_t * geom.h_r * f * math.sqrt(epsilon_r)
             / (LIGHT_SPEED * d))
 
 
-def two_ray_grid(geom: LinkGeometry, f, epsilon_r: float, d) -> tuple:
-    """Sine, null mask and squared spreading term over broadcasting f, d.
+def two_ray_argument(geom: LinkGeometry, f: float, epsilon_r: float,
+                     d: float | None = None) -> float:
+    """Argument of the two-ray sine (half the phase difference) [rad].
 
-    The vectorized terms of :func:`dielectric_path_loss`; raises
-    DomainError for a frequency that is not finite, and as
-    dielectric_path_loss for a term outside float64.
+    Raises DomainError for a frequency that is not finite, an epsilon_r
+    below 1, or a ``d`` (which overrides ``geom.d``) outside (0, d_c].
+    """
+    if not math.isfinite(f):
+        raise DomainError(f"frequency must be finite, got {f!r}")
+    return _sine_argument(geom, f, epsilon_r, _check_distance(geom, d))
+
+
+def two_ray_grid(geom: LinkGeometry, f, epsilon_r: float, d) -> tuple:
+    """Dielectric loss L_d (linear) and two-ray null mask over broadcasting
+    f [Hz] and d [m].
+
+    L_d is meaningless where the null mask is set: the sine argument sits
+    on a multiple of pi, where the model itself diverges. Raises
+    DomainError for a frequency that is not > 0 and finite, an epsilon_r
+    below 1, or a frequency and distance that put L_d (or a term of it)
+    outside finite, non-zero float64.
     """
     f = np.asarray(f, dtype=np.float64)
-    with np.errstate(over="ignore"):
-        argument = (2.0 * math.pi * geom.h_t * geom.h_r * f
-                    * math.sqrt(epsilon_r) / (LIGHT_SPEED * d))
-        spreading2 = (2.0 * math.pi * d * f / LIGHT_SPEED) ** 2
-    for term in (argument, spreading2):  # its extremes show any outlier
-        for i in (term.argmin(), term.argmax()):
-            if not 0 < term.flat[i] < np.inf:
-                f_i, d_i = (float(np.broadcast_to(x, term.shape).flat[i])
-                            for x in (f, d))
-                if not math.isfinite(f_i):
-                    raise DomainError(f"frequency must be finite, got {f_i!r}")
-                raise _outside_float64(f_i, d_i)
-    sine = np.sin(argument)
-    null = np.abs(sine) < NULL_SINE_TOLERANCE
-    return sine, null, spreading2
+    lowest = float(f.flat[f.argmin()])  # argmin returns a NaN first
+    if not lowest > 0:
+        raise DomainError(f"frequency must be > 0, got {lowest!r}")
+    # a term outside float64 leaves L_d there too, as 0, inf or NaN
+    with np.errstate(all="ignore"):
+        spreading = 2.0 * math.pi * d * f / LIGHT_SPEED
+        sine = np.sin(_sine_argument(geom, f, epsilon_r, d))
+        # not ** 2: on a 0-d input that is a numpy scalar's pow()
+        l_d = (spreading * spreading * epsilon_r / (geom.g_t * geom.g_r)
+               / (sine * sine))
+    for i in (l_d.argmin(), l_d.argmax()):
+        if not 0 < l_d.flat[i] < np.inf:
+            f_i, d_i = (float(np.broadcast_to(x, l_d.shape).flat[i])
+                        for x in (f, d))
+            if not math.isfinite(f_i):
+                raise DomainError(f"frequency must be finite, got {f_i!r}")
+            raise DomainError(
+                f"frequency {f_i!r} Hz at distance {d_i!r} m puts the "
+                f"two-ray terms outside float64")
+    return l_d, np.abs(sine) < NULL_SINE_TOLERANCE
 
 
-def _outside_float64(f: float, d: float) -> DomainError:
-    return DomainError(
-        f"frequency {f!r} Hz at distance {d!r} m puts the two-ray terms "
-        f"outside float64")
+def path_loss_grid(geom: LinkGeometry, epsilon_r: float, f, kappa, d,
+                   overflow_cap: float = DEFAULT_OVERFLOW_CAP) -> tuple:
+    """Path loss over broadcasting f [Hz], kappa [1/m] and d [m]: L_d and
+    L_a (linear), then L_d, L_a and L = L_d * L_a in dB, and each cell's
+    gap reason.
+
+    The reasons are an object array of "two-ray-null", "opaque" or "" for
+    none; the null takes precedence. An opaque cell, whose kappa * d
+    exceeds the overflow cap, saturates L_a at exp(cap). Raises as
+    two_ray_grid.
+    """
+    l_d, null = two_ray_grid(geom, f, epsilon_r, d)
+    optical_depth = kappa * d
+    opaque = optical_depth > overflow_cap
+    l_a = np.exp(np.minimum(optical_depth, overflow_cap))
+    l_d_db, l_a_db = 10.0 * np.log10(l_d), 10.0 * np.log10(l_a)
+    reasons = np.where(null, "two-ray-null", np.where(opaque, "opaque", ""))
+    return l_d, l_a, l_d_db, l_a_db, l_d_db + l_a_db, reasons.astype(object)
 
 
-def _check_distance(geom: LinkGeometry, d: float):
+def _check_distance(geom: LinkGeometry, d: float | None = None) -> float:
+    """``d``, or ``geom.d`` when None; DomainError unless 0 < d <= d_c."""
+    if d is None:
+        return geom.d
     if not 0 < d <= geom.d_c:
         raise DomainError(
             f"d must satisfy 0 < d <= d_c={geom.d_c!r}, got {d!r}")
+    return d
 
 
 def dielectric_path_loss(geom: LinkGeometry, f: float, epsilon_r: float,
                          d: float | None = None) -> float:
-    """Two-ray dielectric propagation loss (linear, > 0).
+    """Two-ray dielectric propagation loss (linear, > 0): the one-point
+    view of :func:`two_ray_grid`.
 
     Raises TwoRayNullError when the sine argument lands on a multiple of
-    pi, where the model itself diverges, and DomainError for a frequency
-    that is not > 0 and finite, or a frequency and distance that put the
-    sine argument or the squared spreading term outside finite, non-zero
-    float64; ``d`` overrides ``geom.d`` for distance sweeps.
+    pi, where the model itself diverges, and DomainError as two_ray_grid
+    does or for a ``d`` outside (0, d_c]; ``d`` overrides ``geom.d``.
     """
-    if not f > 0:
-        raise DomainError(f"frequency must be > 0, got {f!r}")
-    if d is None:
-        d = geom.d
-    else:
-        _check_distance(geom, d)
-    argument = two_ray_argument(geom, f, epsilon_r, d)
-    spreading = 2.0 * math.pi * d * f / LIGHT_SPEED
-    # a float's ** raises OverflowError where * gives inf
-    if not (0 < argument < math.inf and 0 < spreading * spreading < math.inf):
-        raise _outside_float64(f, d)
-    sine = math.sin(argument)
-    if abs(sine) < NULL_SINE_TOLERANCE:
-        raise TwoRayNullError(argument, frequency=f)
-    return spreading ** 2 * epsilon_r / (geom.g_t * geom.g_r) / sine ** 2
+    d = _check_distance(geom, d)
+    l_d, null = two_ray_grid(geom, f, epsilon_r, d)
+    if null:
+        raise TwoRayNullError(two_ray_argument(geom, f, epsilon_r, d),
+                              frequency=f)
+    return float(l_d)
 
 
 def total_path_loss(geom: LinkGeometry, medium: Medium, env: Environment,
@@ -188,16 +211,23 @@ def total_path_loss(geom: LinkGeometry, medium: Medium, env: Environment,
                     wing_cutoff: float | None = DEFAULT_WING_CUTOFF,
                     overflow_cap: float = DEFAULT_OVERFLOW_CAP
                     ) -> PathLossReport:
-    """Total path loss L = L_d * L_a with dB components."""
-    if d is None:
-        d = geom.d
-    l_d = dielectric_path_loss(geom, f, medium.epsilon_r, d)
-    attenuation = maa(medium, f, env, d, wing_cutoff, overflow_cap)
-    l_a = attenuation.loss
-    return PathLossReport(
-        l_d=l_d, l_a=l_a, l=l_d * l_a,
-        l_d_db=db(l_d), l_a_db=db(l_a), l_db=db(l_d) + db(l_a),
-        opaque=attenuation.opaque)
+    """Total path loss L = L_d * L_a with dB components: the one-cell view
+    of :func:`path_loss_grid`, so it has the bits of a sweep's cell.
+
+    Raises TwoRayNullError on a two-ray null, and DomainError as
+    dielectric_path_loss and kappa_over_grid do.
+    """
+    d = _check_distance(geom, d)
+    kappa = kappa_over_grid(medium, (f,), env, wing_cutoff)[0]
+    *losses, reason = path_loss_grid(geom, medium.epsilon_r, f, kappa, d,
+                                     overflow_cap)
+    if reason == "two-ray-null":
+        raise TwoRayNullError(two_ray_argument(geom, f, medium.epsilon_r, d),
+                              frequency=f)
+    l_d, l_a, l_d_db, l_a_db, l_db = map(float, losses)
+    return PathLossReport(l_d=l_d, l_a=l_a, l=l_d * l_a, l_d_db=l_d_db,
+                          l_a_db=l_a_db, l_db=l_db,
+                          opaque=bool(reason == "opaque"))
 
 
 def link_budget_db(geom: LinkGeometry, medium: Medium, env: Environment,
@@ -231,6 +261,7 @@ def link_budget_db(geom: LinkGeometry, medium: Medium, env: Environment,
 __all__ = [
     "NULL_SINE_TOLERANCE", "db", "LinkGeometry", "PathLossReport",
     "LinkBudget", "phase_velocity", "phase_difference", "two_ray_argument",
-    "two_ray_grid", "dielectric_path_loss", "total_path_loss",
+    "two_ray_grid", "path_loss_grid", "dielectric_path_loss",
+    "total_path_loss",
     "link_budget_db",
 ]

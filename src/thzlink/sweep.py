@@ -16,14 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .absorption import (DEFAULT_OVERFLOW_CAP, DEFAULT_WING_CUTOFF,
-                         Environment, kappa_over_grid)
+from .absorption import DEFAULT_WING_CUTOFF, Environment, kappa_over_grid
 from .capacity import (BandPlan, allocation_capacity_grid, psi_grid,
                        water_filling_grid)
 from .capacity import channel_capacity  # noqa: F401 (perfbench patches it)
 from .constants import ATM_IN_KPA
 from .errors import DomainError, ValidationError
-from .propagation import LinkGeometry, _check_distance, two_ray_grid
+from .propagation import LinkGeometry, _check_distance, path_loss_grid
 from .spectro import Medium
 
 # Rows x subbands cells that one block of a capacity grid evaluates at
@@ -159,8 +158,9 @@ def sweep_pathloss_vs_frequency(scenario: Scenario,
     for d, label in zip(d_values, _labels(d_values, "m")):
         _check_distance(geom, d)
         for model, _ in models:
-            cells[f"L_db_{model}_d{label}"] = _pathloss_cells(
-                geom, eps, freqs, kappa[model], d)
+            *_, l_db, reasons = path_loss_grid(geom, eps, freqs,
+                                               kappa[model], d)
+            cells[f"L_db_{model}_d{label}"] = (l_db, reasons)
     return SweepResult("frequency", "Hz", freqs, cells)
 
 
@@ -217,23 +217,6 @@ def sweep_capacity_vs_frequency(scenario: Scenario,
     return SweepResult("frequency", "Hz", freqs, cells)
 
 
-def _pathloss_cells(geom: LinkGeometry, epsilon_r: float, f, kappa, d
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Total path loss [dB] over broadcasting (f [Hz], kappa [1/m], d [m]).
-
-    A cell on a two-ray null, or whose kappa * d exceeds the overflow cap,
-    is a gap; the null takes precedence.
-    """
-    sine, null, spreading2 = two_ray_grid(geom, f, epsilon_r, d)
-    optical_depth = kappa * d
-    reasons = np.where(null, "two-ray-null", np.where(
-        optical_depth > DEFAULT_OVERFLOW_CAP, "opaque", ""))
-    with np.errstate(divide="ignore", over="ignore"):
-        l_d = spreading2 * epsilon_r / (geom.g_t * geom.g_r) / (sine * sine)
-        values = 10.0 * np.log10(l_d) + 10.0 * np.log10(np.exp(optical_depth))
-    return values, reasons.astype(object)
-
-
 def _environment_sweep(scenario: Scenario, axis: str, unit: str, xs, t_s, p,
                        f_values: list[float] | None) -> SweepResult:
     """Path loss and capacity at each f value over rows of (t_s, p).
@@ -256,8 +239,9 @@ def _environment_sweep(scenario: Scenario, axis: str, unit: str, xs, t_s, p,
             suffix = f"{model}_f{label}"
             kappa = kernels.kappa_totals(freqs, medium.packed, t_s, p,
                                          DEFAULT_WING_CUTOFF)
-            cells[f"L_db_{suffix}"] = _pathloss_cells(
-                geom, medium.epsilon_r, f, kappa[:, 0], geom.d)
+            *_, l_db, reasons = path_loss_grid(geom, medium.epsilon_r, f,
+                                               kappa[:, 0], geom.d)
+            cells[f"L_db_{suffix}"] = (l_db, reasons)
             cells[f"C_bps_{suffix}"] = _capacity_cells(
                 scenario, medium, ["waterfilling"], band.f_k, kappa[:, 1:],
                 geom.d, t_col, band.delta_f)["waterfilling"]

@@ -384,6 +384,29 @@ def test_term_outside_float64_exits_2(capsys, argv):
     assert "outside float64" in err
 
 
+@pytest.mark.parametrize("argv, code, named", [
+    (("pathloss", "--temperature=1e-300", "--format", "csv"), 2,
+     "temperature 1e-300 K"),
+    (("pathloss", "--temperature=5e-324"), 2, "temperature 5e-324 K"),
+    (("pathloss", "--temperature=inf"), 1, "t_s must be finite"),
+    (("capacity", "--pressure=inf"), 1, "p must be finite"),
+    (("sweep", "--axis", "temperature", "--from", "1e-300", "--to", "1e-299",
+      "--points", "2"), 2, "temperature 1e-300 K")],
+    ids=["pathloss-cold", "pathloss-subnormal", "pathloss-hot",
+         "capacity-pressure", "sweep-cold"])
+def test_extreme_temperature_or_pressure_is_one_error_line(capsys, argv,
+                                                           code, named):
+    """A temperature or pressure that float64 cannot carry through the
+    line factors is one error line naming it: no nan cell, no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, out, err = run(capsys, *argv)
+    assert got == code
+    assert out == ""
+    assert err.count("\n") == 1
+    assert named in err
+
+
 def test_scenario_band_below_zero_exits_1(capsys, tmp_path):
     path = write_scenario(tmp_path, {"band": {"center": 1.0e10}})
     code, out, err = run(capsys, "capacity", "--scenario", path)

@@ -48,17 +48,25 @@ def test_grid_rejects_what_scalar_rejects(default_medium, env, line_factory):
     shifted = line_factory(f_c0=1.0e12, pressure_shift=-2.0e12)
     shifted_medium = Medium(composition={shifted.species: 0.1},
                             lines=(shifted,))
-    cases = [(default_medium, -1.0e12, "frequency must be > 0"),
-             (default_medium, 0.0, "frequency must be > 0"),
-             (default_medium, np.inf, "frequency must be finite"),
-             (default_medium, 1.0e160, r"1e\+160 Hz puts f\^2 tanh"),
-             (default_medium, 1.0e-300, r"1e-300 Hz puts f\^2 tanh"),
-             (shifted_medium, 1.0e12, "pressure shift drives resonance")]
-    for medium, f, message in cases:
+    line = line_factory()
+    one_line_medium = Medium(composition={line.species: 0.1}, lines=(line,))
+    cold = Environment(t_s=1.0e-300, p=env.p)
+    dense = Environment(t_s=env.t_s, p=1.0e200)
+    cases = [(default_medium, env, -1.0e12, "frequency must be > 0"),
+             (default_medium, env, 0.0, "frequency must be > 0"),
+             (default_medium, env, np.inf, "frequency must be finite"),
+             (default_medium, env, 1.0e160, r"1e\+160 Hz puts f\^2 tanh"),
+             (default_medium, env, 1.0e-300, r"1e-300 Hz puts f\^2 tanh"),
+             (shifted_medium, env, 1.0e12, "pressure shift drives resonance"),
+             (default_medium, cold, 1.0e12,
+              r"temperature 1e-300 K at pressure 1.0 atm puts the line"),
+             (one_line_medium, dense, 1.0e12,
+              r"temperature 296.0 K at pressure 1e\+200 atm puts the line")]
+    for medium, conditions, f, message in cases:
         with pytest.raises(DomainError, match=message):
-            medium_kappa(medium, f, env)
+            medium_kappa(medium, f, conditions)
         with pytest.raises(DomainError, match=message):
-            kappa_over_grid(medium, np.array([1.5e12, f]), env)
+            kappa_over_grid(medium, np.array([1.5e12, f]), conditions)
 
 
 def test_rows_match_one_row_calls_bitwise(default_medium, env):

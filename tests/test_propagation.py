@@ -209,3 +209,13 @@ def test_two_ray_argument_distance_override(geom):
     base = two_ray_argument(geom, 1.0e12, 1.0)
     assert two_ray_argument(geom, 1.0e12, 1.0, d=2.0e-4) == pytest.approx(
         base / 2.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("d", [0.0, -1.0e-4, 1.0],
+                         ids=["zero", "negative", "beyond-d_c"])
+def test_two_ray_argument_validates_distance(geom, d):
+    """As dielectric_path_loss: a d outside (0, d_c] is a DomainError."""
+    with pytest.raises(DomainError, match=r"d must satisfy 0 < d <= d_c"):
+        two_ray_argument(geom, 1.0e12, 1.0, d=d)
+    with pytest.raises(DomainError, match=r"d must satisfy 0 < d <= d_c"):
+        dielectric_path_loss(geom, 1.0e12, 1.0, d=d)

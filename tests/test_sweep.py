@@ -4,11 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from thzlink.absorption import Environment
+from thzlink import kernels
+from thzlink.absorption import (DEFAULT_WING_CUTOFF, Environment,
+                                kappa_over_grid)
 from thzlink.capacity import BandPlan, channel_capacity
 from thzlink.constants import LIGHT_SPEED
-from thzlink.errors import DomainError, ValidationError
-from thzlink.propagation import LinkGeometry
+from thzlink.errors import DomainError, TwoRayNullError, ValidationError
+from thzlink.propagation import (LinkGeometry, dielectric_path_loss,
+                                 total_path_loss, two_ray_grid)
 from thzlink.spectro import Medium, SpectralLine
 from thzlink.sweep import (GRID_BLOCK_CELLS, Scenario,
                            sweep_capacity_vs_distance,
@@ -282,3 +285,43 @@ def test_log_axis(default_scenario):
                                         log_axis=True)
     xs = [x for x, _ in result.points]
     np.testing.assert_allclose(xs, np.geomspace(1e-5, 1e-4, 5), rtol=1e-15)
+
+
+@pytest.mark.parametrize("d", [1.0e-4, 1.0e-3, 2.0e-2])
+def test_point_queries_are_grid_cells_bitwise(default_scenario, d):
+    """A point query returns its grid cell's bits: L_d, L [dB] and its gap
+    outcome, and kappa, which is also the same alone or in a row grid."""
+    geom, env = default_scenario.geom, default_scenario.env
+    freqs = np.linspace(1.0e12, 3.0e12, 4001)
+    result = sweep_pathloss_vs_frequency(default_scenario,
+                                         (1.0e12, 3.0e12), 4001, [d])
+    mismatches = {}
+    for model, medium in [("proposed", default_scenario.medium),
+                          ("conventional",
+                           default_scenario.medium.without_absorption())]:
+        eps = medium.epsilon_r
+        l_d, null = two_ray_grid(geom, freqs, eps, d)
+        values, reasons = result.cells[f"L_db_{model}_d{d:g}m"]
+        kappa = kappa_over_grid(medium, freqs, env)
+        rows = kernels.kappa_totals(freqs, medium.packed,
+                                    np.array([250.0, env.t_s]), env.p,
+                                    DEFAULT_WING_CUTOFF)
+        mismatches[f"{model} row vs alone"] = int(np.sum(rows[1] != kappa))
+        counts = dict.fromkeys(["L_d", "L_db", "outcome", "kappa"], 0)
+        for i, f in enumerate(freqs.tolist()):
+            try:
+                point_l_d = dielectric_path_loss(geom, f, eps, d)
+                report = total_path_loss(geom, medium, env, f, d)
+            except TwoRayNullError:
+                counts["outcome"] += reasons[i] != "two-ray-null"
+            else:
+                counts["L_d"] += point_l_d != l_d[i]
+                counts["outcome"] += reasons[i] != (
+                    "opaque" if report.opaque else "")
+                counts["L_db"] += not reasons[i] and report.l_db != values[i]
+            point_kappa = kappa_over_grid(medium, (f,), env)[0]
+            counts["kappa"] += point_kappa != kappa[i]
+        mismatches.update((f"{model} {name}", int(count))
+                          for name, count in counts.items())
+    assert not any(mismatches.values()), ", ".join(
+        f"{name}: {count}" for name, count in mismatches.items())
