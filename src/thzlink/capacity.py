@@ -204,8 +204,8 @@ def water_filling_grid(psi, p_t: float) -> tuple[np.ndarray, np.ndarray]:
     Returns the (R, K) allocations and the (R,) water levels. A zero
     budget yields all-zero allocations with each level at the row's
     lowest floor. Raises DomainError for a budget that is negative or not
-    finite, a floor that is not > 0, or a row whose floors are all
-    infinite.
+    finite, a floor that is not > 0, or a row that funds no subband: its
+    floors are all infinite, or so large that the budget rounds away.
     """
     psi = np.asarray(psi, dtype=np.float64)
     if not np.all(psi > 0):
@@ -218,8 +218,14 @@ def water_filling_grid(psi, p_t: float) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(invalid="ignore"):
         theta_by_m = (p_t + np.cumsum(psi_sorted, axis=-1)) / m
     feasible = theta_by_m > psi_sorted
-    if not feasible.any(axis=-1).all():
-        raise DomainError("no fundable subband (all floors infinite)")
+    funds = feasible.any(axis=-1)
+    if not funds.all():
+        lowest = float(psi_sorted[..., 0][~funds].flat[0])
+        if lowest == np.inf:
+            raise DomainError("no fundable subband (all floors infinite)")
+        raise DomainError(
+            f"no fundable subband: the budget {p_t!r} W is lost to rounding "
+            f"beside the lowest floor, {lowest!r} W")
     # the active set is the largest feasible m of each row
     m_star = psi.shape[-1] - feasible[..., ::-1].argmax(axis=-1)
     # The level is recomputed from a pairwise sum (np.sum) of the funded

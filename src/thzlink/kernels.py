@@ -4,14 +4,18 @@ This is the one place the sum is evaluated: over grids by kappa_totals,
 line by line by line_contributions. Its formulas factor as kappa_j(f) =
 g(f) w_j [1/((f - f_c)^2 + alpha^2) + 1/((f + f_c)^2 + alpha^2)] with
 g(f) = f^2 tanh(a f) per point and w_j = amp_j alpha/(pi f_c^2 tanh(a f_c))
-per line, both computed once per call, so a lines x points pair costs the
-two poles, the cutoff test and a weighted sum.
+per line. The per-line factors depend only on the temperature and
+pressure: a scalar condition's are derived and checked once and kept on
+the LineArrays, so repeated calls at one condition reuse them; the
+per-point factors are computed once per call. A lines x points pair costs
+the two poles, the cutoff test and a weighted sum.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import struct
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,7 +31,11 @@ NUMBA_AVAILABLE = False
 @dataclass(frozen=True)
 class LineArrays:
     """Struct-of-arrays view of a medium's lines, ready for the kernel;
-    ``q`` holds the mixing ratio of each line's own species."""
+    ``q`` holds the mixing ratio of each line's own species.
+
+    ``_state`` is the last scalar condition's validated line state, as one
+    (key, state) tuple that is read and replaced whole, so concurrent
+    callers never pair a key with another condition's arrays."""
 
     f_c0: np.ndarray
     intensity: np.ndarray
@@ -36,6 +44,8 @@ class LineArrays:
     temp_exponent: np.ndarray
     pressure_shift: np.ndarray
     q: np.ndarray
+    _state: tuple | None = field(default=None, init=False, compare=False,
+                                 repr=False)
 
     def __len__(self) -> int:
         return self.f_c0.shape[0]
@@ -58,30 +68,21 @@ def pack_lines(medium) -> LineArrays:
 # each, so they stay in cache); no point's sum depends on another point.
 BLOCK_PAIRS = 1 << 13
 
+# A pole denominator (f - f_c)^2 + alpha^2 at least this large has a finite
+# reciprocal; below it the denominator is subnormal or 0, and its reciprocal
+# can overflow.
+_TINY = np.finfo(np.float64).tiny
+
 
 def _at(condition, row: int) -> float:
     """A per-row temperature or pressure's value at ``row``, or the scalar."""
     return float(condition[row, 0] if np.ndim(condition) else condition)
 
 
-def _factors(freqs, lines: LineArrays, t_s, p):
-    """A call's result shape and, with lines and points, its factors: per
-    point f and g, per line f_c, alpha^2 and w. Raises as kappa_totals."""
-    freqs = np.asarray(freqs, dtype=np.float64)
-    # per-row conditions become (R, 1) columns; scalars become numpy's, whose
-    # division by an underflowed 0 gives inf, as an array's does, not an error
-    t_s, p = (np.float64(x) if isinstance(x, float) or np.ndim(x) == 0 else
-              np.asarray(x, dtype=np.float64).reshape(-1, 1) for x in (t_s, p))
-    shape = np.broadcast(freqs, t_s, p).shape
-    if len(lines) == 0 or freqs.size == 0:
-        return shape, None
-    # argmin and argmax are the cheapest scans, and they return a NaN first
-    lowest = float(freqs.flat[freqs.argmin()])
-    if not lowest > 0:
-        raise DomainError(f"frequency must be > 0, got {lowest!r}")
-    highest = float(freqs.flat[freqs.argmax()])
-    if not highest < np.inf:
-        raise DomainError(f"frequency must be finite, got {highest!r}")
+def _derive_line_state(lines: LineArrays, t_s, p):
+    """Per line f_c, alpha^2 and w, a = h/2kT, and whether any alpha^2 is
+    below the smallest normal float64, at numpy-scalar or per-row (R, 1)
+    conditions. Raises for a resonance <= 0 or a weight outside float64."""
     # every factor is checked below, NaN and inf included
     with np.errstate(all="ignore"):
         f_c = lines.f_c0 + lines.pressure_shift * (p / P_REF)
@@ -95,7 +96,6 @@ def _factors(freqs, lines: LineArrays, t_s, p):
         a = PLANCK / (2.0 * BOLTZMANN * t_s)
         weight = amp * alpha / (np.pi * f_c * f_c * np.tanh(a * f_c))
         alpha2 = alpha * alpha
-        g = freqs * freqs * np.tanh(a * freqs)
     nearest = int(f_c.argmin())
     if not f_c.flat[nearest] > 0:
         row, j = divmod(nearest, len(lines))
@@ -110,23 +110,69 @@ def _factors(freqs, lines: LineArrays, t_s, p):
         raise DomainError(
             f"temperature {_at(t_s, row)!r} K at pressure {_at(p, row)!r} atm "
             f"puts the line widths or weights outside float64")
+    return f_c, alpha2, weight, a, bool(alpha2.min() < _TINY)
+
+
+def _kept_line_state(lines: LineArrays, t_s, p):
+    """The line state at numpy-scalar conditions, derived once per (t_s, p)
+    and kept, read-only, on ``lines``. A condition that raises is never
+    kept."""
+    # the bits of (t_s, p), so that 0.0 and -0.0 are two conditions
+    key = struct.pack("dd", t_s, p)
+    slot = lines._state
+    if slot is not None and slot[0] == key:
+        return slot[1]
+    state = _derive_line_state(lines, t_s, p)
+    for x in state[:3]:
+        x.setflags(write=False)
+    object.__setattr__(lines, "_state", (key, state))
+    return state
+
+
+def _factors(freqs, lines: LineArrays, t_s, p):
+    """A call's result shape and, with lines and points, its factors: per
+    point f and g, per line f_c, alpha^2, w and whether an alpha^2
+    underflowed. Raises as kappa_totals."""
+    freqs = np.asarray(freqs, dtype=np.float64)
+    # per-row conditions become (R, 1) columns; scalars become numpy's, whose
+    # division by an underflowed 0 gives inf, as an array's does, not an error
+    t_s, p = (np.float64(x) if isinstance(x, float) or np.ndim(x) == 0 else
+              np.asarray(x, dtype=np.float64).reshape(-1, 1) for x in (t_s, p))
+    per_row = isinstance(t_s, np.ndarray) or isinstance(p, np.ndarray)
+    shape = np.broadcast(freqs, t_s, p).shape if per_row else freqs.shape
+    if len(lines) == 0 or freqs.size == 0:
+        return shape, None
+    # argmin and argmax are the cheapest scans, and they return a NaN first
+    lowest = float(freqs.flat[freqs.argmin()])
+    if not lowest > 0:
+        raise DomainError(f"frequency must be > 0, got {lowest!r}")
+    highest = float(freqs.flat[freqs.argmax()])
+    if not highest < np.inf:
+        raise DomainError(f"frequency must be finite, got {highest!r}")
+    # per-row conditions (the temperature and pressure sweeps) are not kept
+    f_c, alpha2, weight, a, narrow = (
+        _derive_line_state if per_row else _kept_line_state)(lines, t_s, p)
     # 0 < tanh(a f) <= 1, so f^2 tanh(a f) overflows where f^2 does, and
     # its smallest value shows whether any underflowed to 0
     outside = "frequency {!r} Hz puts f^2 tanh(a f) outside float64"
     if not highest * highest < np.inf:
         raise DomainError(outside.format(highest))
+    with np.errstate(all="ignore"):
+        g = freqs * freqs * np.tanh(a * freqs)
     smallest = g.argmin()
     if not g.flat[smallest] > 0:
         raise DomainError(outside.format(
             float(np.broadcast_to(freqs, g.shape).flat[smallest])))
     if f_c.shape != weight.shape:  # per-row t_s at one p; broadcast_to is slow
         f_c = np.broadcast_to(f_c, weight.shape)
-    return shape, (freqs, g, f_c, alpha2, weight)
+    return shape, (freqs, g, f_c, alpha2, weight, narrow)
 
 
-def _weighted_poles(f, f_c, alpha2, weight, cutoff) -> np.ndarray:
+def _weighted_poles(f, f_c, alpha2, weight, narrow, cutoff) -> np.ndarray:
     """w_j times the poles, 0 beyond the cutoff, (..., K, lines), for (K,)
     or (B, K) points and (lines,) or (B, lines) line factors (1-D: any row).
+    With ``narrow`` (some alpha^2 underflowed), a point on such a line's
+    center, where its pole leaves float64, raises DomainError.
 
     Lines run along the last, contiguous axis, so numpy sums each point's
     lines in the same (pairwise) order whatever the block's shape, and a
@@ -137,6 +183,13 @@ def _weighted_poles(f, f_c, alpha2, weight, cutoff) -> np.ndarray:
     dm = f - fc
     terms = dm * dm
     terms += a2
+    # only a line whose alpha^2 is below _TINY can put a denominator there
+    if narrow and not terms.min() >= _TINY:
+        at = int(terms.argmin())
+        raise DomainError(
+            f"frequency {float(np.broadcast_to(f, terms.shape).flat[at])!r} "
+            f"Hz is on the center of line {at % terms.shape[-1]}, whose "
+            f"half-width squared underflows float64")
     np.reciprocal(terms, out=terms)
     dp = f + fc
     dp *= dp
@@ -159,7 +212,9 @@ def kappa_totals(freqs, lines: LineArrays, t_s, p,
     and finite, or that puts the per-point factor f^2 tanh(a f) outside
     finite, non-zero float64, or a line whose pressure-shifted center is
     <= 0, or a temperature and pressure that put a line's weight outside
-    finite float64, raises DomainError.
+    finite float64, or a frequency on the center of a line whose half-width
+    squared underflows float64, raises DomainError. A scalar (t_s, p)'s
+    per-line factors are kept on ``lines`` and reused while it repeats.
     """
     shape, terms = _factors(freqs, lines, t_s, p)
     if terms is None:

@@ -114,11 +114,13 @@ def _axis_values(lo: float, hi: float, n_points: int, log_axis: bool
         raise DomainError(f"n_points must be >= 1, got {n_points!r}")
     if n_points == 1:
         return np.array([lo], dtype=np.float64)
-    if log_axis:
-        if lo <= 0:
-            raise DomainError("log-spaced axis needs a positive start")
-        return np.geomspace(lo, hi, n_points)
-    return np.linspace(lo, hi, n_points)
+    if log_axis and lo <= 0:
+        raise DomainError("log-spaced axis needs a positive start")
+    try:
+        return (np.geomspace if log_axis else np.linspace)(lo, hi, n_points)
+    except (ValueError, MemoryError):
+        raise ValidationError(
+            [f"cannot allocate an axis of {n_points} points"]) from None
 
 
 def _model_media(scenario: Scenario) -> list[tuple[str, Medium]]:

@@ -264,8 +264,15 @@ class TestWaterFilling:
 
     def test_grid_rejects_a_row_of_infinite_floors(self):
         psi = np.array([[1.0, 2.0], [np.inf, np.inf]])
-        with pytest.raises(DomainError, match="no fundable subband"):
+        with pytest.raises(DomainError, match="all floors infinite"):
             water_filling_grid(psi, 1.0)
+
+    def test_grid_names_a_budget_that_rounds_away_beside_finite_floors(self):
+        psi = np.array([[1.0, 2.0], [2.0e288, 1.35e288]])
+        with pytest.raises(DomainError,
+                           match=r"budget 1e-06 W is lost to rounding beside "
+                                 r"the lowest floor, 1\.35e\+288 W"):
+            water_filling_grid(psi, 1.0e-6)
 
 
 class TestChannelCapacity:

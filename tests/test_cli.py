@@ -2,6 +2,7 @@ import contextlib
 import functools
 import io
 import json
+import math
 import re
 import warnings
 
@@ -391,13 +392,25 @@ def test_term_outside_float64_exits_2(capsys, argv):
     (("pathloss", "--temperature=inf"), 1, "t_s must be finite"),
     (("capacity", "--pressure=inf"), 1, "p must be finite"),
     (("sweep", "--axis", "temperature", "--from", "1e-300", "--to", "1e-299",
-      "--points", "2"), 2, "temperature 1e-300 K")],
+      "--points", "2"), 2, "temperature 1e-300 K"),
+    # line 5's half-width squares to 0 (1e-300 atm) or to a subnormal
+    # (1e-165 atm), so its pole at its own center leaves float64
+    (("pathloss", "--pressure", "1e-300", "--frequency", "894558370500.0",
+      "--format", "csv"), 2, "894558370500.0 Hz is on the center of line 5"),
+    (("pathloss", "--pressure", "1e-165", "--frequency", "894558370500.0"),
+     2, "894558370500.0 Hz is on the center of line 5"),
+    # finite floors of ~1.35e288 W, beside which the 1 uW budget rounds away
+    (("sweep", "--axis", "temperature", "--from", "1e299", "--to", "1e300",
+      "--points", "3"), 2, "budget 1e-06 W is lost to rounding beside the "
+     "lowest floor, 1.35110112963850")],
     ids=["pathloss-cold", "pathloss-subnormal", "pathloss-hot",
-         "capacity-pressure", "sweep-cold"])
+         "capacity-pressure", "sweep-cold", "pathloss-thin-center",
+         "pathloss-subnormal-width-center", "sweep-hot-floors"])
 def test_extreme_temperature_or_pressure_is_one_error_line(capsys, argv,
                                                            code, named):
     """A temperature or pressure that float64 cannot carry through the
-    line factors is one error line naming it: no nan cell, no warning."""
+    line factors or the water-filling is one error line naming what it
+    loses: no nan cell, no warning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got, out, err = run(capsys, *argv)
@@ -405,6 +418,29 @@ def test_extreme_temperature_or_pressure_is_one_error_line(capsys, argv,
     assert out == ""
     assert err.count("\n") == 1
     assert named in err
+
+
+def test_thin_lines_off_their_centers_give_finite_cells(capsys):
+    """At 1e-300 atm every half-width squares to 0, yet off the centers
+    the medium is only nearly transparent."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "pathloss", "--pressure", "1e-300",
+                             "--frequency", "1e12", "--format", "csv")
+    assert code == 0
+    assert err == ""
+    header, row = out.splitlines()
+    assert header.startswith("f_Hz,")
+    assert all(math.isfinite(float(cell)) for cell in row.split(","))
+
+
+def test_axis_too_long_to_allocate_exits_1(capsys):
+    code, out, err = run(capsys, "sweep", "--axis", "frequency", "--points",
+                         str(10**20))
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "axis of 100000000000000000000 points" in err
 
 
 def test_scenario_band_below_zero_exits_1(capsys, tmp_path):

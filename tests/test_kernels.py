@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -52,6 +54,8 @@ def test_grid_rejects_what_scalar_rejects(default_medium, env, line_factory):
     one_line_medium = Medium(composition={line.species: 0.1}, lines=(line,))
     cold = Environment(t_s=1.0e-300, p=env.p)
     dense = Environment(t_s=env.t_s, p=1.0e200)
+    # the line's half-width squares to 0, so its pole at f_c is 1/0
+    thin = Environment(t_s=env.t_s, p=1.0e-300)
     cases = [(default_medium, env, -1.0e12, "frequency must be > 0"),
              (default_medium, env, 0.0, "frequency must be > 0"),
              (default_medium, env, np.inf, "frequency must be finite"),
@@ -61,7 +65,9 @@ def test_grid_rejects_what_scalar_rejects(default_medium, env, line_factory):
              (default_medium, cold, 1.0e12,
               r"temperature 1e-300 K at pressure 1.0 atm puts the line"),
              (one_line_medium, dense, 1.0e12,
-              r"temperature 296.0 K at pressure 1e\+200 atm puts the line")]
+              r"temperature 296.0 K at pressure 1e\+200 atm puts the line"),
+             (one_line_medium, thin, 1.0e12,
+              r"1000000000000.0 Hz is on the center of line 0")]
     for medium, conditions, f, message in cases:
         with pytest.raises(DomainError, match=message):
             medium_kappa(medium, f, conditions)
@@ -160,3 +166,85 @@ def test_medium_packs_its_lines_once(default_medium, monkeypatch):
         kappa_over_grid(medium, np.array([1.0e12, 1.2e12]), env)
     assert len(calls) == 1
     assert not medium.packed.f_c0.flags.writeable
+
+
+def _both_calls(freqs, lines, t_s, p):
+    return (kernels.kappa_totals(freqs, lines, t_s, p, 5.0e12),
+            kernels.line_contributions(freqs[:3], lines, t_s, p, 5.0e12))
+
+
+def test_kept_line_state_gives_fresh_pack_bits(default_medium):
+    """Conditions A, B, A on one packing, with per-row conditions between
+    them, give a fresh packing's bits; per-row calls keep no state."""
+    medium = Medium(composition=default_medium.composition,
+                    lines=default_medium.lines)
+    lines = medium.packed
+    freqs = np.linspace(0.9e12, 1.6e12, 37)
+    temps, pressures = np.linspace(250.0, 400.0, 4), np.linspace(0.2, 2.0, 4)
+    # each condition after the second A shares t_s or p with the one before;
+    # 0.0 and -0.0 give weights of opposite sign, so kappa's zeros differ
+    for t_s, p in ((296.0, 1.0), (temps, 1.0), (350.0, 0.5),
+                   (296.0, pressures), (296.0, 1.0), (350.0, 1.0),
+                   (350.0, 0.5), (350.0, 0.0), (350.0, -0.0)):
+        kept = lines._state
+        got = _both_calls(freqs, lines, t_s, p)
+        want = _both_calls(freqs, kernels.pack_lines(medium), t_s, p)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+            assert np.array_equal(np.signbit(g), np.signbit(w))
+        if np.ndim(t_s) or np.ndim(p):
+            assert lines._state is kept
+        else:
+            assert not any(x.flags.writeable for x in lines._state[1][:3])
+    assert "_state" not in repr(lines)
+
+
+def test_raising_condition_keeps_the_previous_state(line_factory):
+    shifted = line_factory(f_c0=1.0e12, pressure_shift=-0.6e12)
+    medium = Medium(composition={shifted.species: 0.1}, lines=(shifted,))
+    lines = medium.packed
+    freqs = np.array([0.9e12, 1.1e12])
+    before = kernels.kappa_totals(freqs, lines, 296.0, 1.0)
+    kept = lines._state
+    for t_s, p, message in ((1.0e-300, 1.0, "temperature 1e-300 K"),
+                            (296.0, 2.0, "pressure shift drives")):
+        with pytest.raises(DomainError, match=message):
+            kernels.kappa_totals(freqs, lines, t_s, p)
+        assert lines._state is kept
+    assert np.array_equal(kernels.kappa_totals(freqs, lines, 296.0, 1.0),
+                          before)
+
+
+def test_two_threads_alternating_conditions_get_their_own_bits(
+        default_medium):
+    medium = Medium(composition=default_medium.composition,
+                    lines=default_medium.lines)
+    lines = medium.packed
+    freqs = np.linspace(0.9e12, 1.6e12, 64)
+    conditions = ((296.0, 1.0), (350.0, 0.5))
+    want = [kernels.kappa_totals(freqs, kernels.pack_lines(medium), *c)
+            for c in conditions]
+    done, wrong = [0, 0], []
+
+    def alternate(thread):
+        for n in range(300):
+            which = (thread + n) % 2
+            got = kernels.kappa_totals(freqs, lines, *conditions[which])
+            if not np.array_equal(got, want[which]):
+                wrong.append((thread, n))
+            done[thread] += 1
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=alternate, args=(thread,))
+                   for thread in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert done == [300, 300]
+    assert wrong == []
