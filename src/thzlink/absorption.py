@@ -140,8 +140,11 @@ def line_absorption(line: SpectralLine, q: float, f: float,
     """Individual absorption coefficient of one line [1/m], no cutoff:
     :func:`medium_kappa` of the line alone at mixing ratio ``q``."""
     _check_q(q)
-    medium = Medium(composition={line.species: q}, lines=(line,))
-    return medium_kappa(medium, f, env, wing_cutoff=None).total_kappa
+    packed = kernels.LineArrays(*np.array(
+        [[line.f_c0], [line.line_intensity], [line.alpha_air],
+         [line.alpha_self], [line.temp_exponent], [line.pressure_shift], [q]]))
+    kappa = kernels.line_contributions((f,), packed, env.t_s, env.p)
+    return float(kappa[0, 0])
 
 
 def medium_kappa(medium: Medium, f: float, env: Environment,

@@ -157,7 +157,7 @@ def psi_grid(geom: LinkGeometry, epsilon_r: float, f_k, kappa, d, t_s,
     """
     l_d, null = two_ray_grid(geom, f_k, epsilon_r, d)
     with np.errstate(over="ignore"):
-        bracket = (t_s + T_REF) * np.exp(kappa * d) - T_REF
+        bracket = t_s + (t_s + T_REF) * np.expm1(kappa * d)
         psi = BOLTZMANN * l_d * delta_f * bracket
     return psi, np.broadcast_to(null, psi.shape)
 

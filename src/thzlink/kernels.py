@@ -157,8 +157,15 @@ def _factors(freqs, lines: LineArrays, t_s, p):
     outside = "frequency {!r} Hz puts f^2 tanh(a f) outside float64"
     if not highest * highest < np.inf:
         raise DomainError(outside.format(highest))
-    with np.errstate(all="ignore"):
-        g = freqs * freqs * np.tanh(a * freqs)
+    # tanh(x) rounds to 1.0 for every x >= 19, so capping a where each
+    # a f >= 20 keeps every g and keeps a f finite at the coldest rows,
+    # unless the grid spans more decades than float64 holds
+    cap = 20.0 / lowest
+    a = np.minimum(a, cap) if per_row else min(a, cap)
+    if not cap * highest < np.inf and not float(np.max(a)) * highest < np.inf:
+        raise DomainError(f"frequencies {lowest!r} to {highest!r} Hz put "
+                          f"a f in tanh(a f) outside float64")
+    g = freqs * freqs * np.tanh(a * freqs)
     smallest = g.argmin()
     if not g.flat[smallest] > 0:
         raise DomainError(outside.format(

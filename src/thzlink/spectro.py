@@ -15,6 +15,16 @@ transition per line. Only eight fields are consumed (1-based columns):
 All spectral quantities are converted to SI at ingestion (wavenumbers and
 pressure-normalized widths/shifts to Hz via 100*c, intensities to
 m^2 Hz/mol), so downstream formulas carry no unit patch factors.
+
+The catalog is parsed as columns: the text's bytes are viewed as records,
+each consumed field is converted for every record at once with numpy, the
+line checks run as masks over every record, and only the lines that pass
+the species and intensity filters become SpectralLine objects. Text that
+this pass refuses (a field that does not convert, a failed check, a record
+that is not 160 printable ASCII characters, a blank line) is parsed again
+one record at a time by the reference parser, _parse_records. It keeps
+the same lines where the text is valid, and otherwise locates the first
+bad record for the CatalogParseError.
 """
 
 from __future__ import annotations
@@ -22,6 +32,8 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+
+import numpy as np
 
 from . import kernels
 from .constants import AVOGADRO, WAVENUMBER_TO_HZ
@@ -37,17 +49,25 @@ INTENSITY_TO_SI = WAVENUMBER_TO_HZ * 1.0e-4 * AVOGADRO
 # Lines weaker than this (catalog intensity units) are dropped at ingestion.
 DEFAULT_INTENSITY_FLOOR = 1.0e-30
 
-# Consumed fields: name -> (1-based inclusive column span, kind)
+# Consumed fields: name -> (1-based inclusive column span, type)
 _FIELDS = {
-    "gas_id": ((1, 2), "int"),
-    "iso_id": ((3, 3), "int"),
-    "wavenumber": ((4, 15), "float"),
-    "intensity": ((16, 25), "float"),
-    "alpha_air": ((36, 40), "float"),
-    "alpha_self": ((41, 45), "float"),
-    "temp_exponent": ((56, 59), "float"),
-    "pressure_shift": ((60, 67), "float"),
+    "gas_id": ((1, 2), int),
+    "iso_id": ((3, 3), int),
+    "wavenumber": ((4, 15), float),
+    "intensity": ((16, 25), float),
+    "alpha_air": ((36, 40), float),
+    "alpha_self": ((41, 45), float),
+    "temp_exponent": ((56, 59), float),
+    "pressure_shift": ((60, 67), float),
 }
+
+# The consumed fields of one record, as a numpy record dtype over its bytes
+_RECORD = np.dtype({
+    "names": list(_FIELDS),
+    "formats": [f"S{hi - lo + 1}" for (lo, hi), _ in _FIELDS.values()],
+    "offsets": [lo - 1 for (lo, _), _ in _FIELDS.values()],
+    "itemsize": RECORD_WIDTH,
+})
 
 
 @dataclass(frozen=True)
@@ -94,6 +114,21 @@ class SpectralLine:
         return (self.gas_id, self.iso_id)
 
 
+def _si_fields(values: dict) -> dict:
+    """SpectralLine's fields, in its order and in SI units, from the
+    consumed fields of one record or the columns of many."""
+    return {
+        "gas_id": values["gas_id"],
+        "iso_id": values["iso_id"],
+        "f_c0": values["wavenumber"] * WAVENUMBER_TO_HZ,
+        "line_intensity": values["intensity"] * INTENSITY_TO_SI,
+        "alpha_air": values["alpha_air"] * WAVENUMBER_TO_HZ,
+        "alpha_self": values["alpha_self"] * WAVENUMBER_TO_HZ,
+        "temp_exponent": values["temp_exponent"],
+        "pressure_shift": values["pressure_shift"] * WAVENUMBER_TO_HZ,
+    }
+
+
 def _slice(record: str, span: tuple[int, int]) -> str:
     lo, hi = span
     return record[lo - 1:hi]
@@ -106,7 +141,7 @@ def _parse_field(record: str, name: str, line_number: int):
     if not text:
         raise CatalogParseError(f"blank {name} field", line_number, span)
     try:
-        return int(text) if kind == "int" else float(text)
+        return kind(text)
     except ValueError:
         raise CatalogParseError(
             f"non-numeric {name} field {raw!r}", line_number, span) from None
@@ -119,21 +154,74 @@ def _parse_record(record: str, line_number: int) -> tuple[tuple[int, int], float
             line_number)
     values = {name: _parse_field(record, name, line_number)
               for name in _FIELDS}
-    raw_intensity = values["intensity"]
     try:
-        line = SpectralLine(
-            gas_id=values["gas_id"],
-            iso_id=values["iso_id"],
-            f_c0=values["wavenumber"] * WAVENUMBER_TO_HZ,
-            line_intensity=raw_intensity * INTENSITY_TO_SI,
-            alpha_air=values["alpha_air"] * WAVENUMBER_TO_HZ,
-            alpha_self=values["alpha_self"] * WAVENUMBER_TO_HZ,
-            temp_exponent=values["temp_exponent"],
-            pressure_shift=values["pressure_shift"] * WAVENUMBER_TO_HZ,
-        )
+        line = SpectralLine(**_si_fields(values))
     except ValidationError as exc:
         raise CatalogParseError(str(exc), line_number) from None
-    return (values["gas_id"], values["iso_id"]), raw_intensity, line
+    return (values["gas_id"], values["iso_id"]), values["intensity"], line
+
+
+def _parse_records(raw_text: str, wanted: set[tuple[int, int]],
+                   intensity_floor: float) -> list[SpectralLine]:
+    """The reference parser: one record at a time, raising at the first
+    malformed one."""
+    lines: list[SpectralLine] = []
+    for line_number, record in enumerate(raw_text.split("\n"), start=1):
+        if not record:
+            continue  # blank separator, e.g. trailing newline
+        species, raw_intensity, line = _parse_record(record, line_number)
+        if species not in wanted:
+            continue
+        if raw_intensity < intensity_floor:
+            continue
+        lines.append(line)
+    return lines
+
+
+def _parse_columns(raw_text: str, wanted: set[tuple[int, int]],
+                   intensity_floor: float) -> list[SpectralLine] | None:
+    """The lines _parse_records keeps, parsed field by field over every
+    record at once. None unless the text is 160-character records of
+    printable ASCII, each followed by a newline (optional after the last),
+    whose fields all convert and whose lines all pass SpectralLine's
+    checks.
+
+    The printable bytes matter: numpy reads b"1.5\\x00" as 1.5 and refuses
+    0x1c-0x1f as blanks, while Python's float, which the reference parser
+    uses, refuses the first and strips the second."""
+    try:
+        data = raw_text.encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    stride = RECORD_WIDTH + 1
+    n, tail = divmod(len(data) + 1, stride)  # tail 1: a final newline
+    if n == 0 or tail > 1:
+        return None
+    newlines = np.frombuffer(data, np.uint8)[RECORD_WIDTH::stride]
+    if not (newlines == ord("\n")).all():
+        return None
+    chars = np.ndarray((n, RECORD_WIDTH), np.uint8, data, strides=(stride, 1))
+    if chars.min() < 0x20 or chars.max() > 0x7e:
+        return None
+    fields = np.ndarray((n,), _RECORD, data, strides=(stride,))
+    try:
+        values = {name: fields[name].astype(kind)
+                  for name, (_, kind) in _FIELDS.items()}
+    except ValueError:
+        return None
+    si = _si_fields(values)
+    # SpectralLine.__post_init__'s checks, on every record
+    if not ((si["f_c0"] > 0).all() and (si["alpha_air"] > 0).all()
+            and not (si["alpha_self"] < 0).any()
+            and not (si["line_intensity"] < 0).any()):
+        return None
+    keep = np.zeros(n, dtype=bool)
+    for gas, iso in wanted:
+        keep |= (si["gas_id"] == gas) & (si["iso_id"] == iso)
+    keep &= ~(values["intensity"] < intensity_floor)
+    rows = np.flatnonzero(keep)
+    return [SpectralLine(*line) for line in
+            zip(*(column[rows].tolist() for column in si.values()))]
 
 
 def parse_line_catalog(
@@ -158,18 +246,10 @@ def parse_line_catalog(
 
     Emits a UserWarning for any wanted species with no surviving records.
     """
-    lines: list[SpectralLine] = []
-    seen: set[tuple[int, int]] = set()
-    for line_number, record in enumerate(raw_text.split("\n"), start=1):
-        if not record:
-            continue  # blank separator, e.g. trailing newline
-        species, raw_intensity, line = _parse_record(record, line_number)
-        if species not in wanted:
-            continue
-        if raw_intensity < intensity_floor:
-            continue
-        seen.add(species)
-        lines.append(line)
+    lines = _parse_columns(raw_text, wanted, intensity_floor)
+    if lines is None:
+        lines = _parse_records(raw_text, wanted, intensity_floor)
+    seen = {line.species for line in lines}
     for species in sorted(wanted - seen):
         warnings.warn(
             f"no catalog records for species {species}", stacklevel=2)

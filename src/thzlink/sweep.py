@@ -265,9 +265,13 @@ def sweep_vs_pressure(scenario: Scenario, p_range_kpa: tuple[float, float],
     """Path loss and capacity vs ambient pressure, axis in kPa."""
     pressures = _axis_values(p_range_kpa[0], p_range_kpa[1], n_points,
                              log_axis)
+    p_atm = pressures / ATM_IN_KPA
+    # the axis rises, so its first value is the one that can underflow
+    if pressures[0] > 0 and not p_atm[0] > 0:
+        raise ValidationError([f"pressure {float(pressures[0])!r} kPa "
+                               f"underflows to 0 atm in float64"])
     return _environment_sweep(scenario, "pressure", "kPa", pressures,
-                              scenario.env.t_s, pressures / ATM_IN_KPA,
-                              f_values)
+                              scenario.env.t_s, p_atm, f_values)
 
 
 def sweep_capacity_vs_distance(scenario: Scenario,

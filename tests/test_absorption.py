@@ -161,6 +161,16 @@ class TestMediumKappa:
             (1, 1, 0): line_absorption(line, 0.2, 1.01e12, env)}
         assert breakdown.total_kappa == breakdown.per_line[(1, 1, 0)]
 
+    def test_line_absorption_is_the_one_line_medium_bitwise(
+            self, full_catalog, env):
+        for line in full_catalog[::4]:
+            for q in (0.0, 0.3, 1.0):
+                for f in (0.5e12, line.f_c0, 2.7e12):
+                    medium = Medium(composition={line.species: q},
+                                    lines=(line,))
+                    assert line_absorption(line, q, f, env) == medium_kappa(
+                        medium, f, env, wing_cutoff=None).total_kappa
+
     def test_total_is_sum_of_contributions(self, default_medium, env):
         breakdown = medium_kappa(default_medium, 1.21e12, env)
         assert breakdown.total_kappa == pytest.approx(

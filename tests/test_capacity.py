@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from thzlink.absorption import Environment, medium_kappa
+from thzlink.absorption import Environment, kappa_over_grid, medium_kappa
 from thzlink.capacity import (BandPlan, allocation_capacity,
                               approx_capacity_small_antenna, channel_capacity,
                               flat_allocation_capacity,
@@ -128,6 +128,22 @@ class TestPsiCoefficients:
     def test_positive_everywhere(self, geom, env, default_medium, band):
         assert np.all(psi_coefficients(geom, default_medium, env, band,
                                        geom.d) > 0.0)
+
+    def test_positive_when_the_medium_barely_absorbs(self, geom,
+                                                     default_medium, band):
+        """At 1e-170 K and 1e-200 atm kappa d is ~1e-47: e^{kappa d}
+        rounds to 1, yet the floor is T_ref kappa d, not a cancelled 0."""
+        cold = Environment(t_s=1.0e-170, p=1.0e-200)
+        psi = psi_coefficients(geom, default_medium, cold, band, geom.d)
+        kappa = kappa_over_grid(default_medium, band.f_k, cold)
+        assert np.all(kappa * geom.d < 1e-30)
+        for k in (0, 31, 63):
+            f = float(band.f_k[k])
+            l_d = dielectric_path_loss(geom, f, 1.0)
+            bracket = cold.t_s + (cold.t_s + T_REF) * kappa[k] * geom.d
+            assert psi[k] == pytest.approx(
+                BOLTZMANN * l_d * bracket * band.delta_f, rel=1e-12)
+        assert np.all(psi > 0.0)
 
     def test_null_names_subband(self, env):
         geom = LinkGeometry(d=1.0e-4, h_t=2.0e-5, h_r=2.0e-5)

@@ -420,6 +420,26 @@ def test_extreme_temperature_or_pressure_is_one_error_line(capsys, argv,
     assert named in err
 
 
+def test_capacity_at_a_nearly_transparent_extreme_exits_0(capsys):
+    """kappa d ~ 1e-200 leaves the floors at the system noise alone."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "capacity", "--temperature", "1e-170",
+                             "--pressure", "1e-200")
+    assert code == 0
+    assert err == ""
+    assert re.search(r"capacity\s+: [\d.]+e\+\d+ bits/s", out)
+
+
+def test_pressure_axis_that_underflows_in_atm_names_the_kpa_value(capsys):
+    code, out, err = run(capsys, "sweep", "--axis", "pressure", "--from",
+                         "5e-324", "--to", "1e-323", "--points", "2")
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "pressure 5e-324 kPa underflows" in err
+
+
 def test_thin_lines_off_their_centers_give_finite_cells(capsys):
     """At 1e-300 atm every half-width squares to 0, yet off the centers
     the medium is only nearly transparent."""

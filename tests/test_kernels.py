@@ -99,6 +99,26 @@ def test_rows_match_one_row_calls_bitwise(default_medium, env):
             wing_cutoff=None))
 
 
+def test_cold_rows_at_high_frequency_saturate_tanh_without_warning(
+        default_medium):
+    """Below ~1e-165 K, a f overflows at the highest frequencies; tanh(a f)
+    is 1 there, and the rows still match one-row calls bit for bit."""
+    freqs = np.array([1.0e12, 1.0e20, 1.0e150])
+    temps = np.array([1.0e-300, 1.0e-170, 296.0])
+    rows = kernels.kappa_totals(freqs, default_medium.packed, temps, 1.0e-300)
+    for row, t_s in enumerate(temps):
+        one = kernels.kappa_totals(freqs, default_medium.packed, float(t_s),
+                                   1.0e-300)
+        assert np.array_equal(rows[row], one)
+        assert np.all(np.isfinite(one))
+
+
+def test_cold_grid_over_too_many_decades_is_a_domain_error(default_medium):
+    with pytest.raises(DomainError, match="outside float64"):
+        kernels.kappa_totals([1.0e-160, 1.0e150], default_medium.packed,
+                             1.0e-300, 1.0e-300)
+
+
 def test_blocks_cover_every_row(default_medium, env):
     lines = default_medium.packed
     n_rows = 5 * kernels.BLOCK_PAIRS // (len(lines) * 64) + 3

@@ -1,11 +1,19 @@
 import math
+import struct
+import warnings
+from dataclasses import astuple
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from thzlink.constants import AVOGADRO, LIGHT_SPEED
+from thzlink import spectro
+from thzlink.constants import AVOGADRO, LIGHT_SPEED, WAVENUMBER_TO_HZ
 from thzlink.errors import CatalogParseError, ValidationError
-from thzlink.spectro import (DEFAULT_INTENSITY_FLOOR, Medium, SpectralLine,
-                             load_medium, parse_line_catalog, serialize_line)
+from thzlink.spectro import (DEFAULT_INTENSITY_FLOOR, INTENSITY_TO_SI, Medium,
+                             SpectralLine, load_medium, parse_line_catalog,
+                             serialize_line)
 
 
 def make_record(gas=1, iso=1, nu=33.3564, s=1.650e-19, gair=0.0945,
@@ -208,3 +216,130 @@ def test_spectral_line_invariants():
         SpectralLine(gas_id=1, iso_id=1, f_c0=1e12, line_intensity=-1.0,
                      alpha_air=1.0, alpha_self=1.0, temp_exponent=0.5,
                      pressure_shift=0.0)
+
+
+# --- column parse against the record-by-record reference parser ----------
+
+def _bits(lines):
+    return [struct.pack("<qqdddddd", *astuple(line)) for line in lines]
+
+
+def _outcome(parse, text, wanted, floor=DEFAULT_INTENSITY_FLOOR):
+    """The lines a parser keeps, or its error as (type, line, span, text)."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return _bits(parse(text, wanted, floor))
+    except CatalogParseError as exc:
+        return type(exc), exc.line_number, exc.col_span, str(exc)
+
+
+def _seeded_catalog(seed, n_records):
+    rng = np.random.default_rng(seed)
+    records = []
+    for _ in range(n_records):
+        records.append(serialize_line(SpectralLine(
+            gas_id=int(rng.integers(1, 10)), iso_id=int(rng.integers(1, 4)),
+            f_c0=float(rng.uniform(1.0, 900.0)) * WAVENUMBER_TO_HZ,
+            line_intensity=10.0 ** float(rng.uniform(-33.0, -19.0))
+            * INTENSITY_TO_SI,
+            alpha_air=float(rng.uniform(0.001, 0.2)) * WAVENUMBER_TO_HZ,
+            alpha_self=float(rng.uniform(0.0, 0.9)) * WAVENUMBER_TO_HZ,
+            temp_exponent=float(rng.uniform(-0.9, 0.99)),
+            pressure_shift=float(rng.uniform(-0.09, 0.09))
+            * WAVENUMBER_TO_HZ)))
+    return "\n".join(records) + "\n"
+
+
+SEEDED_WANTED = {(1, 1), (2, 3), (7, 1), (9, 2)}
+
+
+@pytest.mark.parametrize("floor", [0.0, DEFAULT_INTENSITY_FLOOR])
+def test_column_parse_is_bitwise_reference_on_bundled_catalog(
+        catalog_text, floor):
+    wanted = {(1, 1), (1, 2), (7, 1), (4, 1)}
+    columns = spectro._parse_columns(catalog_text, wanted, floor)
+    assert columns is not None  # the bundled catalog takes the column path
+    reference = spectro._parse_records(catalog_text, wanted, floor)
+    assert columns == reference
+    assert _bits(columns) == _bits(reference)
+
+
+@pytest.mark.parametrize("floor", [0.0, DEFAULT_INTENSITY_FLOOR])
+def test_column_parse_is_bitwise_reference_on_seeded_catalog(floor):
+    text = _seeded_catalog(20261018, 3000)
+    columns = spectro._parse_columns(text, SEEDED_WANTED, floor)
+    assert columns is not None
+    reference = spectro._parse_records(text, SEEDED_WANTED, floor)
+    assert len(reference) > 200
+    assert columns == reference
+    assert _bits(columns) == _bits(reference)
+
+
+SMALL_CATALOG = _seeded_catalog(7, 12)
+SMALL_WANTED = {tuple(int(x) for x in (record[0:2], record[2]))
+                for record in SMALL_CATALOG.split("\n")[:6:2]}
+CORRUPTIONS = ["\x00", "\x1c", "\t", "_", "x", " ", "é", "\n", "\r"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(0, len(SMALL_CATALOG) - 1),
+                          st.sampled_from(CORRUPTIONS)),
+                min_size=1, max_size=3))
+def test_corrupted_catalog_matches_reference(edits):
+    text = list(SMALL_CATALOG)
+    for at, char in edits:
+        text[at] = char
+    text = "".join(text)
+    assert (_outcome(parse_line_catalog, text, SMALL_WANTED)
+            == _outcome(spectro._parse_records, text, SMALL_WANTED))
+
+
+# blanks and the characters a Python int or float can be spelled with
+FIELD_ALPHABET = " 0123456789+-.eE_infatyINFATY"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_any_field_text_parses_as_the_reference(data):
+    record = list(SMALL_CATALOG.split("\n")[0])
+    name = data.draw(st.sampled_from(sorted(spectro._FIELDS)))
+    (lo, hi), _ = spectro._FIELDS[name]
+    record[lo - 1:hi] = data.draw(st.text(FIELD_ALPHABET, min_size=hi - lo + 1,
+                                          max_size=hi - lo + 1))
+    text = SMALL_CATALOG + "".join(record)
+    wanted = SMALL_WANTED | {(int(x), 1) for x in range(-9, 100)}
+    for floor in (0.0, DEFAULT_INTENSITY_FLOOR):
+        assert (_outcome(parse_line_catalog, text, wanted, floor)
+                == _outcome(spectro._parse_records, text, wanted, floor))
+
+
+def test_blank_line_mid_file_is_skipped(catalog_text):
+    records = catalog_text.split("\n")
+    gapped = "\n".join(records[:10] + [""] + records[10:])
+    assert (_bits(parse_line_catalog(gapped, {(1, 1), (7, 1)}))
+            == _bits(parse_line_catalog(catalog_text, {(1, 1), (7, 1)})))
+
+
+def test_missing_final_newline_keeps_every_line(catalog_text):
+    assert catalog_text.endswith("\n")
+    trimmed = catalog_text[:-1]
+    assert spectro._parse_columns(trimmed, {(1, 1)}, 0.0) is not None
+    assert (_bits(parse_line_catalog(trimmed, {(1, 1)}, 0.0))
+            == _bits(parse_line_catalog(catalog_text, {(1, 1)}, 0.0)))
+
+
+def test_crlf_catalog_is_positioned_error(catalog_text):
+    with pytest.raises(CatalogParseError) as excinfo:
+        parse_line_catalog(catalog_text.replace("\n", "\r\n"), {(1, 1)})
+    assert excinfo.value.line_number == 1
+    assert "161" in str(excinfo.value)
+
+
+def test_invalid_value_in_unwanted_species_is_positioned_error():
+    text = "\n".join([make_record(), make_record(), make_record(gas=2),
+                      make_record(gas=5, gair=0.0), make_record()])
+    with pytest.raises(CatalogParseError) as excinfo:
+        parse_line_catalog(text, {(1, 1)})
+    assert excinfo.value.line_number == 4
+    assert "alpha_air" in str(excinfo.value)
