@@ -12,8 +12,8 @@ mixing ratio q at T [K] and p [atm], with a = h/(2 k_B T):
     F = (alpha/pi) (f/f_c) [1/((f-f_c)^2 + alpha^2) + 1/((f+f_c)^2 + alpha^2)]
     kappa_j = (p/P_REF) (T_STP/T) (p q/(R T)) S (f/f_c) tanh(af)/tanh(af_c) F
 
-or 0 where |f - f_c| exceeds the wing cutoff. The sum is evaluated only
-in :mod:`thzlink.kernels`, which the one-point functions here view. All
+or 0 where |f - f_c| exceeds the wing cutoff. The sum, f_c and alpha are
+written only in :mod:`thzlink.kernels`, which the functions here view. All
 are pure functions of immutable inputs, safe to call concurrently.
 """
 
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .constants import BOLTZMANN, PLANCK, P_REF, T_REF
+from .constants import BOLTZMANN, PLANCK, T_REF
 from .errors import DomainError, ValidationError
 from .spectro import Medium, SpectralLine
 
@@ -88,17 +88,23 @@ def _check_q(q: float):
         raise DomainError(f"mixing ratio must be in [0, 1], got {q!r}")
 
 
+def _center_and_width(line: SpectralLine, q: float, env: Environment):
+    """The kernel's line center and half-width [Hz] at ``env``, as floats."""
+    _check_q(q)
+    with np.errstate(all="ignore"):  # a value outside float64 is returned
+        f_c, alpha = kernels._line_center_and_width(line, q, env.t_s, env.p)
+    return float(f_c), float(alpha)
+
+
 def lorentz_half_width(line: SpectralLine, q: float,
                        env: Environment) -> float:
     """Pressure- and temperature-dependent Lorentz half-width [Hz]."""
-    _check_q(q)
-    broadening = (1.0 - q) * line.alpha_air + q * line.alpha_self
-    return broadening * (env.p / P_REF) * (T_REF / env.t_s) ** line.temp_exponent
+    return _center_and_width(line, q, env)[1]
 
 
 def shifted_resonance(line: SpectralLine, env: Environment) -> float:
     """Line center after the linear pressure shift [Hz]."""
-    f_c = line.f_c0 + line.pressure_shift * (env.p / P_REF)
+    f_c = _center_and_width(line, 0.0, env)[0]
     if f_c <= 0:
         raise DomainError(
             f"pressure shift drives resonance of {line.species} to "
@@ -113,8 +119,7 @@ def vvw_line_shape(line: SpectralLine, f: float, env: Environment,
     Two mirrored Lorentzian poles at +/- the shifted line center, scaled
     by f/f_c; SI throughout (unit conversion happened at ingestion).
     """
-    if not 0 < f < math.inf:
-        raise DomainError(f"frequency must be > 0 and finite, got {f!r}")
+    kernels._check_frequencies(np.float64(f))
     alpha = lorentz_half_width(line, q, env)
     f_c = shifted_resonance(line, env)
     pole_lo = 1.0 / ((f - f_c) ** 2 + alpha ** 2)
@@ -140,10 +145,8 @@ def line_absorption(line: SpectralLine, q: float, f: float,
     """Individual absorption coefficient of one line [1/m], no cutoff:
     :func:`medium_kappa` of the line alone at mixing ratio ``q``."""
     _check_q(q)
-    packed = kernels.LineArrays(*np.array(
-        [[line.f_c0], [line.line_intensity], [line.alpha_air],
-         [line.alpha_self], [line.temp_exponent], [line.pressure_shift], [q]]))
-    kappa = kernels.line_contributions((f,), packed, env.t_s, env.p)
+    kappa = kernels.line_contributions((f,), kernels._pack((line,), (q,)),
+                                       env.t_s, env.p)
     return float(kappa[0, 0])
 
 

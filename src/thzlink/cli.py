@@ -13,7 +13,7 @@ import argparse
 import re
 import sys
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -37,16 +37,6 @@ AXIS_DEFAULTS = {
 
 # Sweep rows formatted at once: bounds the cells held before joining.
 RENDER_BLOCK_ROWS = 1 << 10
-
-
-@dataclass
-class RunConfig:
-    """Validated inputs of one CLI invocation."""
-
-    scenario: Scenario
-    frequency: float
-    output_path: str | None
-    output_format: str
 
 
 class _Parser(argparse.ArgumentParser):
@@ -133,7 +123,8 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_run_config(args) -> RunConfig:
+def _load_run_config(args) -> tuple[Scenario, float]:
+    """The scenario with the flags applied, and the operating frequency."""
     scenario = load_scenario(args.scenario, args.catalog)
     geom, env = scenario.geom, scenario.env
     if args.distance is not None:
@@ -147,11 +138,9 @@ def _load_run_config(args) -> RunConfig:
         scenario = replace(scenario, p_t=args.power)
     if args.baseline:
         scenario = replace(scenario, baseline=True)
-    frequency = args.frequency
-    if frequency is None:
-        frequency = float(scenario.band.f_k[0] + scenario.band.f_k[-1]) / 2.0
-    return RunConfig(scenario=scenario, frequency=frequency,
-                     output_path=args.out, output_format=args.format)
+    if args.frequency is not None:
+        return scenario, args.frequency
+    return scenario, float(scenario.band.f_k[0] + scenario.band.f_k[-1]) / 2.0
 
 
 def _emit(text: str, path: str | None):
@@ -163,17 +152,16 @@ def _emit(text: str, path: str | None):
 
 
 def cmd_pathloss(args) -> int:
-    config = _load_run_config(args)
-    scenario, f = config.scenario, config.frequency
+    scenario, f = _load_run_config(args)
     report = total_path_loss(scenario.geom, scenario.medium, scenario.env, f)
     budget = link_budget_db(scenario.geom, scenario.medium, scenario.env, f,
                             scenario.p_t)
-    if config.output_format == "csv":
+    if args.format == "csv":
         header = ("f_Hz,L_d_db,L_a_db,L_db,P_R_dBW,opaque")
         row = (f"{f:.12e},{report.l_d_db:.12e},{report.l_a_db:.12e},"
                f"{report.l_db:.12e},{budget.p_r_dbw:.12e},"
                f"{int(report.opaque)}")
-        _emit(header + "\n" + row + "\n", config.output_path)
+        _emit(header + "\n" + row + "\n", args.out)
         return 0
     lines = [
         f"frequency            : {f:.6e} Hz",
@@ -190,13 +178,12 @@ def cmd_pathloss(args) -> int:
         f"  molecular          : {budget.absorption_db:+.6f} dB",
         f"  received power     : {budget.p_r_dbw:+.6f} dBW",
     ]
-    _emit("\n".join(lines) + "\n", config.output_path)
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
 def cmd_capacity(args) -> int:
-    config = _load_run_config(args)
-    scenario, f = config.scenario, config.frequency
+    scenario, f = _load_run_config(args)
     band = BandPlan.centered(f, scenario.band.b, scenario.band.k)
     solver = (channel_capacity if args.allocation == "waterfilling"
               else flat_allocation_capacity)
@@ -204,13 +191,13 @@ def cmd_capacity(args) -> int:
                         scenario.geom.d, scenario.p_t)
     theta_text = ("n/a" if allocation.theta is None
                   else f"{allocation.theta:.6e} W")
-    if config.output_format == "csv":
+    if args.format == "csv":
         lines = ["subband,f_k_Hz,psi_k_W,p_k_W"]
         for k in range(band.k):
             lines.append(f"{k + 1},{band.f_k[k]:.12e},"
                          f"{allocation.psi_k[k]:.12e},"
                          f"{allocation.p_k[k]:.12e}")
-        _emit("\n".join(lines) + "\n", config.output_path)
+        _emit("\n".join(lines) + "\n", args.out)
         return 0
     lines = [
         f"capacity             : {allocation.capacity_bits_per_s:.6e} bits/s",
@@ -222,7 +209,7 @@ def cmd_capacity(args) -> int:
     for k in range(band.k):
         lines.append(f"{k + 1:>7d}  {band.f_k[k]:.6e}  "
                      f"{allocation.psi_k[k]:.6e}  {allocation.p_k[k]:.6e}")
-    _emit("\n".join(lines) + "\n", config.output_path)
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -270,13 +257,10 @@ def render_table(result: SweepResult) -> str:
 
 
 def cmd_sweep(args) -> int:
-    config = _load_run_config(args)
-    scenario = config.scenario
-    lo, hi = AXIS_DEFAULTS[args.axis]
-    if args.axis_from is not None:
-        lo = args.axis_from
-    if args.axis_to is not None:
-        hi = args.axis_to
+    scenario, _ = _load_run_config(args)
+    defaults = AXIS_DEFAULTS[args.axis]
+    lo = defaults[0] if args.axis_from is None else args.axis_from
+    hi = defaults[1] if args.axis_to is None else args.axis_to
     n = args.points
 
     if args.axis == "frequency":
@@ -299,8 +283,8 @@ def cmd_sweep(args) -> int:
                                             args.allocation,
                                             log_axis=args.log)
 
-    renderer = render_table if config.output_format == "pretty" else render_csv
-    _emit(renderer(result), config.output_path)
+    renderer = render_table if args.format == "pretty" else render_csv
+    _emit(renderer(result), args.out)
     return 0
 
 

@@ -53,14 +53,42 @@ class LineArrays:
 
 def pack_lines(medium) -> LineArrays:
     """Pack a Medium's lines into contiguous float64 arrays."""
-    n = len(medium.lines)
-    cols = np.empty((7, n))
-    for j, line in enumerate(medium.lines):
+    return _pack(medium.lines, map(medium.q_for, medium.lines))
+
+
+def _pack(lines, qs) -> LineArrays:
+    """``lines`` (SpectralLine) at mixing ratios ``qs``, as LineArrays."""
+    cols = np.empty((7, len(lines)))
+    for j, (line, q) in enumerate(zip(lines, qs)):
         cols[:, j] = (line.f_c0, line.line_intensity, line.alpha_air,
                       line.alpha_self, line.temp_exponent,
-                      line.pressure_shift, medium.q_for(line))
+                      line.pressure_shift, q)
     cols.setflags(write=False)  # a Medium caches its packing
     return LineArrays(*cols)
+
+
+def _line_center_and_width(lines, q, t_s, p):
+    """Pressure-shifted center f_c and Lorentz half-width alpha [Hz] of a
+    SpectralLine or LineArrays (the fields share names) at mixing ratio
+    ``q``, ``t_s`` [K] and ``p`` [atm], floats or arrays. np.power, not
+    **, so that floats and arrays share one pow."""
+    return (lines.f_c0 + lines.pressure_shift * (p / P_REF),
+            ((1.0 - q) * lines.alpha_air + q * lines.alpha_self)
+            * ((p / P_REF) * np.power(T_REF / t_s, lines.temp_exponent)))
+
+
+def _check_frequencies(freqs: np.ndarray, positive: bool = True) -> tuple:
+    """The lowest and highest of ``freqs``. DomainError unless every one is
+    finite and, with ``positive``, > 0; argmin and argmax are the cheapest
+    scans, and they return a NaN first."""
+    lowest = freqs.item(freqs.argmin())
+    if positive and not lowest > 0:
+        raise DomainError(f"frequency must be > 0, got {lowest!r}")
+    highest = freqs.item(freqs.argmax())
+    if not (-np.inf < lowest and highest < np.inf):
+        raise DomainError("frequency must be finite, got "
+                          f"{highest if lowest > -np.inf else lowest!r}")
+    return lowest, highest
 
 
 # Most lines x points pairs evaluated at once. Every call is split over
@@ -85,10 +113,7 @@ def _derive_line_state(lines: LineArrays, t_s, p):
     conditions. Raises for a resonance <= 0 or a weight outside float64."""
     # every factor is checked below, NaN and inf included
     with np.errstate(all="ignore"):
-        f_c = lines.f_c0 + lines.pressure_shift * (p / P_REF)
-        alpha = (((1.0 - lines.q) * lines.alpha_air
-                  + lines.q * lines.alpha_self)
-                 * ((p / P_REF) * (T_REF / t_s) ** lines.temp_exponent))
+        f_c, alpha = _line_center_and_width(lines, lines.q, t_s, p)
         # one Avogadro factor total: it lives inside `intensity` [m^2 Hz/mol],
         # so the volumetric density here is molar [mol/m^3]
         amp = ((p / P_REF) * (T_STP / t_s) * (p / (GAS_CONSTANT_ATM * t_s))
@@ -142,13 +167,7 @@ def _factors(freqs, lines: LineArrays, t_s, p):
     shape = np.broadcast(freqs, t_s, p).shape if per_row else freqs.shape
     if len(lines) == 0 or freqs.size == 0:
         return shape, None
-    # argmin and argmax are the cheapest scans, and they return a NaN first
-    lowest = float(freqs.flat[freqs.argmin()])
-    if not lowest > 0:
-        raise DomainError(f"frequency must be > 0, got {lowest!r}")
-    highest = float(freqs.flat[freqs.argmax()])
-    if not highest < np.inf:
-        raise DomainError(f"frequency must be finite, got {highest!r}")
+    lowest, highest = _check_frequencies(freqs)
     # per-row conditions (the temperature and pressure sweeps) are not kept
     f_c, alpha2, weight, a, narrow = (
         _derive_line_state if per_row else _kept_line_state)(lines, t_s, p)
@@ -203,7 +222,8 @@ def _weighted_poles(f, f_c, alpha2, weight, narrow, cutoff) -> np.ndarray:
     dp += a2
     terms += np.reciprocal(dp, out=dp)
     terms *= weight[..., None, :]
-    terms[np.abs(dm) > cutoff] = 0.0
+    if cutoff < np.inf:
+        terms[np.abs(dm) > cutoff] = 0.0
     return terms
 
 

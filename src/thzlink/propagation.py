@@ -18,6 +18,7 @@ from .absorption import (DEFAULT_OVERFLOW_CAP, DEFAULT_WING_CUTOFF,
                          Environment, kappa_over_grid)
 from .constants import LIGHT_SPEED
 from .errors import DomainError, TwoRayNullError, ValidationError
+from .kernels import _check_frequencies
 from .spectro import Medium
 
 # |sin(argument)| below this counts as sitting on a two-ray null.
@@ -121,8 +122,7 @@ def two_ray_argument(geom: LinkGeometry, f: float, epsilon_r: float,
     Raises DomainError for a frequency that is not finite, an epsilon_r
     below 1, or a ``d`` (which overrides ``geom.d``) outside (0, d_c].
     """
-    if not math.isfinite(f):
-        raise DomainError(f"frequency must be finite, got {f!r}")
+    _check_frequencies(np.float64(f), positive=False)
     return _sine_argument(geom, f, epsilon_r, _check_distance(geom, d))
 
 
@@ -137,9 +137,7 @@ def two_ray_grid(geom: LinkGeometry, f, epsilon_r: float, d) -> tuple:
     outside finite, non-zero float64.
     """
     f = np.asarray(f, dtype=np.float64)
-    lowest = float(f.flat[f.argmin()])  # argmin returns a NaN first
-    if not lowest > 0:
-        raise DomainError(f"frequency must be > 0, got {lowest!r}")
+    _check_frequencies(f)
     # a term outside float64 leaves L_d there too, as 0, inf or NaN
     with np.errstate(all="ignore"):
         spreading = 2.0 * math.pi * d * f / LIGHT_SPEED
@@ -151,8 +149,6 @@ def two_ray_grid(geom: LinkGeometry, f, epsilon_r: float, d) -> tuple:
         if not 0 < l_d.flat[i] < np.inf:
             f_i, d_i = (float(np.broadcast_to(x, l_d.shape).flat[i])
                         for x in (f, d))
-            if not math.isfinite(f_i):
-                raise DomainError(f"frequency must be finite, got {f_i!r}")
             raise DomainError(
                 f"frequency {f_i!r} Hz at distance {d_i!r} m puts the "
                 f"two-ray terms outside float64")
@@ -262,6 +258,5 @@ __all__ = [
     "NULL_SINE_TOLERANCE", "db", "LinkGeometry", "PathLossReport",
     "LinkBudget", "phase_velocity", "phase_difference", "two_ray_argument",
     "two_ray_grid", "path_loss_grid", "dielectric_path_loss",
-    "total_path_loss",
-    "link_budget_db",
+    "total_path_loss", "link_budget_db",
 ]

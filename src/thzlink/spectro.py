@@ -19,12 +19,12 @@ m^2 Hz/mol), so downstream formulas carry no unit patch factors.
 The catalog is parsed as columns: the text's bytes are viewed as records,
 each consumed field is converted for every record at once with numpy, the
 line checks run as masks over every record, and only the lines that pass
-the species and intensity filters become SpectralLine objects. Text that
-this pass refuses (a field that does not convert, a failed check, a record
-that is not 160 printable ASCII characters, a blank line) is parsed again
-one record at a time by the reference parser, _parse_records. It keeps
-the same lines where the text is valid, and otherwise locates the first
-bad record for the CatalogParseError.
+the species and intensity filters become SpectralLine objects; blank
+lines are skipped. Text that this pass refuses (a field that does
+not convert, a failed check, a record that is not 160 printable ASCII
+characters) is parsed again one record at a time by the reference parser,
+_parse_records. It keeps the same lines where the text is valid, and
+otherwise locates the first bad record for the CatalogParseError.
 """
 
 from __future__ import annotations
@@ -129,14 +129,9 @@ def _si_fields(values: dict) -> dict:
     }
 
 
-def _slice(record: str, span: tuple[int, int]) -> str:
-    lo, hi = span
-    return record[lo - 1:hi]
-
-
 def _parse_field(record: str, name: str, line_number: int):
     span, kind = _FIELDS[name]
-    raw = _slice(record, span)
+    raw = record[span[0] - 1:span[1]]
     text = raw.strip()
     if not text:
         raise CatalogParseError(f"blank {name} field", line_number, span)
@@ -181,10 +176,10 @@ def _parse_records(raw_text: str, wanted: set[tuple[int, int]],
 def _parse_columns(raw_text: str, wanted: set[tuple[int, int]],
                    intensity_floor: float) -> list[SpectralLine] | None:
     """The lines _parse_records keeps, parsed field by field over every
-    record at once. None unless the text is 160-character records of
-    printable ASCII, each followed by a newline (optional after the last),
-    whose fields all convert and whose lines all pass SpectralLine's
-    checks.
+    record at once. None unless the text, blank lines dropped, is
+    160-character records of printable ASCII, each followed by a newline
+    (optional after the last), whose fields all convert and whose lines all
+    pass SpectralLine's checks.
 
     The printable bytes matter: numpy reads b"1.5\\x00" as 1.5 and refuses
     0x1c-0x1f as blanks, while Python's float, which the reference parser
@@ -194,11 +189,13 @@ def _parse_columns(raw_text: str, wanted: set[tuple[int, int]],
     except UnicodeEncodeError:
         return None
     stride = RECORD_WIDTH + 1
-    n, tail = divmod(len(data) + 1, stride)  # tail 1: a final newline
-    if n == 0 or tail > 1:
-        return None
-    newlines = np.frombuffer(data, np.uint8)[RECORD_WIDTH::stride]
-    if not (newlines == ord("\n")).all():
+    for _ in range(2):  # as given, then with blank lines (separators) dropped
+        n, tail = divmod(len(data) + 1, stride)  # tail 1: a final newline
+        newlines = np.frombuffer(data, np.uint8)[RECORD_WIDTH::stride]
+        if n and tail <= 1 and (newlines == ord("\n")).all():
+            break
+        data = b"\n".join(filter(None, data.split(b"\n")))
+    else:
         return None
     chars = np.ndarray((n, RECORD_WIDTH), np.uint8, data, strides=(stride, 1))
     if chars.min() < 0x20 or chars.max() > 0x7e:

@@ -150,8 +150,6 @@ def sweep_pathloss_vs_frequency(scenario: Scenario,
     if d_values is None:
         d_values = [scenario.geom.d]
     freqs = _axis_values(f_range[0], f_range[1], n_points, log_axis)
-    if not np.all(freqs > 0):
-        raise DomainError("frequency range must be positive")
     models = _model_media(scenario)
     kappa = {model: kappa_over_grid(medium, freqs, scenario.env)
              for model, medium in models}

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from thzlink import kernels
 from thzlink.absorption import (Attenuation, Environment,
                                 attenuation_from_optical_depth,
                                 kappa_over_grid, line_absorption,
@@ -42,6 +43,26 @@ class TestLorentzHalfWidth:
     def test_bad_q_rejected(self, line_factory):
         with pytest.raises(DomainError):
             lorentz_half_width(line_factory(), 1.5, Environment())
+
+
+def test_scalar_center_and_width_are_the_kernels_bitwise(default_medium):
+    """One formula: the public center and half-width have the bits of the
+    line state the kernel derives, at scalar and at per-row conditions."""
+    rng = np.random.default_rng(20261018)
+    temps = rng.uniform(150.0, 600.0, 300)
+    pressures = 10.0 ** rng.uniform(-2.0, 1.0, 300)
+    lines = default_medium.packed
+    rows = kernels._derive_line_state(lines, temps[:, None],
+                                      pressures[:, None])
+    for i, (t_s, p) in enumerate(zip(temps.tolist(), pressures.tolist())):
+        f_c, alpha2, *_ = kernels._derive_line_state(
+            lines, np.float64(t_s), np.float64(p))
+        assert (rows[0][i] == f_c).all() and (rows[1][i] == alpha2).all()
+        env = Environment(t_s=t_s, p=p)
+        for j, line in enumerate(default_medium.lines):
+            assert shifted_resonance(line, env) == f_c[j]
+            width = lorentz_half_width(line, default_medium.q_for(line), env)
+            assert width * width == alpha2[j]  # the kernel's square
 
 
 class TestShiftedResonance:

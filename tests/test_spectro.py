@@ -321,6 +321,17 @@ def test_blank_line_mid_file_is_skipped(catalog_text):
             == _bits(parse_line_catalog(catalog_text, {(1, 1), (7, 1)})))
 
 
+def test_blank_lines_keep_the_column_path(catalog_text):
+    records = catalog_text.split("\n")
+    gapped = "\n".join([""] + records[:10] + ["", ""] + records[10:]) + "\n"
+    wanted = {(1, 1), (7, 1)}
+    columns = spectro._parse_columns(gapped, wanted, 0.0)
+    assert columns is not None
+    assert _bits(columns) == _bits(spectro._parse_records(gapped, wanted, 0.0))
+    assert _bits(columns) == _bits(
+        spectro._parse_columns(catalog_text, wanted, 0.0))
+
+
 def test_missing_final_newline_keeps_every_line(catalog_text):
     assert catalog_text.endswith("\n")
     trimmed = catalog_text[:-1]
