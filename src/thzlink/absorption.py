@@ -13,8 +13,10 @@ mixing ratio q at T [K] and p [atm], with a = h/(2 k_B T):
     kappa_j = (p/P_REF) (T_STP/T) (p q/(R T)) S (f/f_c) tanh(af)/tanh(af_c) F
 
 or 0 where |f - f_c| exceeds the wing cutoff. The sum, f_c and alpha are
-written only in :mod:`thzlink.kernels`, which the functions here view. All
-are pure functions of immutable inputs, safe to call concurrently.
+written only in :mod:`thzlink.kernels`, which the functions here view. The
+wing cutoff and the overflow cap are model constants; the kernel's
+``cutoff`` is the one place to choose another. All are pure functions of
+immutable inputs, safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -29,8 +31,7 @@ from .constants import BOLTZMANN, PLANCK, T_REF
 from .errors import DomainError, ValidationError
 from .spectro import Medium, SpectralLine
 
-# Lines farther than this [Hz] from the evaluation frequency are skipped;
-# pass wing_cutoff=None to evaluate every line (oracle comparisons).
+# Lines farther than this [Hz] from the evaluation frequency are skipped.
 DEFAULT_WING_CUTOFF = 5.0e12
 
 # kappa*d beyond this saturates to an "opaque medium" result.
@@ -50,11 +51,9 @@ class Environment:
     p: float = 1.0
 
     def __post_init__(self):
-        problems = []
-        if not 0 < self.t_s < math.inf:
-            problems.append(f"t_s must be finite and > 0, got {self.t_s!r}")
-        if not 0 < self.p < math.inf:
-            problems.append(f"p must be finite and > 0, got {self.p!r}")
+        problems = [f"{name} must be finite and > 0, got {value!r}"
+                    for name, value in (("t_s", self.t_s), ("p", self.p))
+                    if not 0 < value < math.inf]
         if problems:
             raise ValidationError(problems)
 
@@ -122,8 +121,8 @@ def vvw_line_shape(line: SpectralLine, f: float, env: Environment,
     kernels._check_frequencies(np.float64(f))
     alpha = lorentz_half_width(line, q, env)
     f_c = shifted_resonance(line, env)
-    pole_lo = 1.0 / ((f - f_c) ** 2 + alpha ** 2)
-    pole_hi = 1.0 / ((f + f_c) ** 2 + alpha ** 2)
+    pole_lo = 1.0 / ((f - f_c) * (f - f_c) + alpha * alpha)
+    pole_hi = 1.0 / ((f + f_c) * (f + f_c) + alpha * alpha)
     return (alpha / math.pi) * (f / f_c) * (pole_lo + pole_hi)
 
 
@@ -132,12 +131,12 @@ def spectral_line_shape(line: SpectralLine, f: float, env: Environment,
     """Radiation-field-corrected line shape [1/Hz].
 
     Applies the f/f_c ratio and the tanh(hf/2kT) correction ratio to the
-    Van Vleck-Weisskopf profile.
+    Van Vleck-Weisskopf profile, with the kernel's np.tanh.
     """
     shape = vvw_line_shape(line, f, env, q)
     f_c = shifted_resonance(line, env)
     a = PLANCK / (2.0 * BOLTZMANN * env.t_s)
-    return (f / f_c) * (math.tanh(a * f) / math.tanh(a * f_c)) * shape
+    return (f / f_c) * float(np.tanh(a * f) / np.tanh(a * f_c)) * shape
 
 
 def line_absorption(line: SpectralLine, q: float, f: float,
@@ -150,14 +149,13 @@ def line_absorption(line: SpectralLine, q: float, f: float,
     return float(kappa[0, 0])
 
 
-def medium_kappa(medium: Medium, f: float, env: Environment,
-                 wing_cutoff: float | None = DEFAULT_WING_CUTOFF
-                 ) -> AbsorptionBreakdown:
+def medium_kappa(medium: Medium, f: float,
+                 env: Environment) -> AbsorptionBreakdown:
     """Medium absorption coefficient at one frequency, per-line resolved:
-    the one-point view of :func:`thzlink.kernels.line_contributions`."""
-    cutoff = np.inf if wing_cutoff is None else float(wing_cutoff)
+    the one-point view of :func:`thzlink.kernels.line_contributions` at
+    the wing cutoff."""
     contributions = kernels.line_contributions(
-        (f,), medium.packed, env.t_s, env.p, cutoff)[:, 0]
+        (f,), medium.packed, env.t_s, env.p, DEFAULT_WING_CUTOFF)[:, 0]
     per_line = {(line.gas_id, line.iso_id, index): value
                 for index, (line, value)
                 in enumerate(zip(medium.lines, contributions.tolist()))}
@@ -165,43 +163,46 @@ def medium_kappa(medium: Medium, f: float, env: Environment,
                                per_line=per_line)
 
 
-def kappa_over_grid(medium: Medium, freqs, env: Environment,
-                    wing_cutoff: float | None = DEFAULT_WING_CUTOFF
-                    ) -> np.ndarray:
-    """Total kappa [1/m] on a frequency grid via the hot kernel.
+def kappa_over_grid(medium: Medium, freqs, env: Environment) -> np.ndarray:
+    """Total kappa [1/m] at the wing cutoff on a frequency grid, (K,) or
+    (R, K), via the hot kernel.
 
     Raises DomainError for a medium with lines as kernels.kappa_totals
     does: for a grid frequency that is not > 0 and finite, a line's
     pressure-shifted center <= 0, or a factor outside float64.
     """
-    cutoff = np.inf if wing_cutoff is None else float(wing_cutoff)
-    return kernels.kappa_totals(freqs, medium.packed, env.t_s, env.p, cutoff)
+    return kernels.kappa_totals(freqs, medium.packed, env.t_s, env.p,
+                                DEFAULT_WING_CUTOFF)
 
 
-def maa(medium: Medium, f: float, env: Environment, d: float,
-        wing_cutoff: float | None = DEFAULT_WING_CUTOFF,
-        overflow_cap: float = DEFAULT_OVERFLOW_CAP) -> Attenuation:
-    """Molecular absorption attenuation over a path of length d [m].
-
-    Returns the Beer-Lambert loss exp(kappa*d) >= 1 together with the
-    transmittance exp(-kappa*d); saturates with ``opaque=True`` instead of
-    overflowing once kappa*d exceeds ``overflow_cap``.
-    """
-    if d < 0:
+def _check_path_length(d: float):
+    if not d >= 0:
         raise DomainError(f"path length must be >= 0, got {d!r}")
-    kappa = float(kappa_over_grid(medium, (f,), env, wing_cutoff)[0])
-    return attenuation_from_optical_depth(kappa * d, overflow_cap)
 
 
-def attenuation_from_optical_depth(
-        optical_depth: float,
-        overflow_cap: float = DEFAULT_OVERFLOW_CAP) -> Attenuation:
-    """Beer-Lambert loss for a precomputed kappa*d."""
-    opaque = optical_depth > overflow_cap
-    loss = math.exp(min(optical_depth, overflow_cap))
-    return Attenuation(loss=loss,
-                       transmittance=math.exp(-optical_depth),
-                       opaque=opaque,
+def _beer_lambert(optical_depth) -> tuple:
+    """Beer-Lambert loss exp(kappa*d) of floats or arrays of kappa*d, capped
+    at exp(DEFAULT_OVERFLOW_CAP), and where the cap is exceeded (opaque)."""
+    return (np.exp(np.minimum(optical_depth, DEFAULT_OVERFLOW_CAP)),
+            optical_depth > DEFAULT_OVERFLOW_CAP)
+
+
+def maa(medium: Medium, f: float, env: Environment, d: float) -> Attenuation:
+    """Molecular absorption attenuation over a path of length d [m]: the
+    Beer-Lambert loss exp(kappa*d) >= 1 and the transmittance exp(-kappa*d),
+    saturated as :class:`Attenuation` says."""
+    _check_path_length(d)
+    return attenuation_from_optical_depth(
+        float(kappa_over_grid(medium, (f,), env)[0]) * d)
+
+
+def attenuation_from_optical_depth(optical_depth: float) -> Attenuation:
+    """Beer-Lambert loss for a precomputed kappa*d: the one-cell view of
+    :func:`_beer_lambert`."""
+    loss, opaque = _beer_lambert(optical_depth)
+    return Attenuation(loss=float(loss),
+                       transmittance=float(np.exp(-optical_depth)),
+                       opaque=bool(opaque),
                        optical_depth=optical_depth)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .absorption import DEFAULT_WING_CUTOFF, Environment, kappa_over_grid
+from .absorption import Environment, _check_path_length, kappa_over_grid
 from .constants import BOLTZMANN, T_REF
 from .errors import (ApproximationRegimeError, DomainError, TwoRayNullError,
                      ValidationError)
@@ -46,9 +46,9 @@ class BandPlan:
             problems.append(
                 f"expected {self.k} center frequencies, got shape {f_k.shape}")
         else:
-            if not np.all(f_k > 0):
+            if not (f_k > 0).all():
                 problems.append("every center frequency must be > 0")
-            if self.k > 1 and not np.all(np.diff(f_k) > 0):
+            if not (f_k[1:] > f_k[:-1]).all():
                 problems.append("center frequencies must be strictly increasing")
         if problems:
             raise ValidationError(problems)
@@ -65,34 +65,49 @@ class BandPlan:
                 [f"band edges must satisfy 0 <= f_lo < f_hi, got "
                  f"[{f_lo!r}, {f_hi!r}]"])
         b = f_hi - f_lo
-        delta = b / k
-        centers = f_lo + (np.arange(k) + 0.5) * delta
-        return cls(b=b, k=k, f_k=centers)
+        return cls(b=b, k=k, f_k=f_lo + (np.arange(k) + 0.5) * (b / k))
 
     @classmethod
     def centered(cls, center: float, bandwidth: float, k: int) -> "BandPlan":
-        """The band around a model-domain frequency ``center`` [Hz].
+        """The band around a model-domain frequency ``center`` [Hz]: the
+        one-row view of :func:`centered_band_grid`, and raises as it does."""
+        f_k, b = centered_band_grid((center,), bandwidth, k)
+        return cls(b=float(b[0]), k=k, f_k=f_k[0])
 
-        A center that is not finite, that puts the lower edge below 0 Hz,
-        or so large that float64 cannot tell the band's edges or subband
-        centers apart raises DomainError; the other checks are
-        from_edges'.
-        """
-        f_lo, f_hi = center - bandwidth / 2.0, center + bandwidth / 2.0
-        if not (f_lo >= 0 and center < math.inf):
+
+def centered_band_grid(centers, bandwidth: float, k: int) -> tuple:
+    """Subband centers (R, K) and band widths b (R,) [Hz] of the band of
+    ``bandwidth`` split into ``k`` around each of ``centers`` (R,).
+
+    The first row that cannot be split raises: DomainError if its center
+    is not finite, puts the lower edge below 0 Hz, or is so large that
+    float64 cannot tell the band's edges or subband centers apart; the
+    other checks are from_edges'.
+    """
+    centers = np.asarray(centers, dtype=np.float64)
+    splits = isinstance(k, int) and k >= 1 and bandwidth > 0
+    with np.errstate(all="ignore"):  # the row checks catch overflow
+        f_lo, f_hi = centers - bandwidth / 2.0, centers + bandwidth / 2.0
+        b = f_hi - f_lo
+        f_k = f_lo[:, None] + np.arange(0.5, k if splits else 1) * (
+            b / k)[:, None]
+    # an infinite center makes b NaN
+    ok = ((f_lo >= 0) & (b > 0) & (f_k[:, 0] > 0)
+          & (f_k[:, 1:] > f_k[:, :-1]).all(axis=-1))
+    if not (splits and ok.all()):
+        i = int(ok.argmin()) if splits else 0  # the first row that fails
+        if i < len(centers) and not (f_lo[i] >= 0 and centers[i] < np.inf):
             raise DomainError(
-                f"frequency {center!r} Hz puts the band edges at "
-                f"[{f_lo!r}, {f_hi!r}]; they must satisfy 0 <= f_lo < f_hi")
-        try:
-            return cls.from_edges(f_lo, f_hi, k)
-        except ValidationError:
-            # the same width and count at 0 Hz raise if they are invalid;
-            # if they are not, the center collapsed the band
-            cls.from_edges(0.0, bandwidth, k)
-            raise DomainError(
-                f"frequency {center!r} Hz is too large to split a "
-                f"{bandwidth!r} Hz band into {k} subbands in float64"
-            ) from None
+                f"frequency {float(centers[i])!r} Hz puts the band edges at "
+                f"[{float(f_lo[i])!r}, {float(f_hi[i])!r}]; they must "
+                f"satisfy 0 <= f_lo < f_hi")
+        # the same width and count at 0 Hz raise if they are invalid; if
+        # they are not, the center collapsed the band
+        BandPlan.from_edges(0.0, bandwidth, k)
+        raise DomainError(
+            f"frequency {float(centers[i])!r} Hz is too large to split a "
+            f"{bandwidth!r} Hz band into {k} subbands in float64")
+    return f_k, b
 
 
 @dataclass(frozen=True)
@@ -123,18 +138,23 @@ class PowerAllocation:
     capacity_bits_per_s: float | None = None
 
 
+def _molecular_noise(medium: Medium, env: Environment, freqs, d: float):
+    """T_ref*(1 - tau) [K] at each of ``freqs``; d is checked as maa does."""
+    _check_path_length(d)
+    return T_REF * -np.expm1(-kappa_over_grid(medium, freqs, env) * d)
+
+
 def molecular_noise_temperature(medium: Medium, env: Environment, f: float,
                                 d: float) -> float:
-    """Absorption re-emission noise temperature T_ref*(1 - tau) [K]."""
-    kappa = float(kappa_over_grid(medium, (f,), env)[0])
-    return T_REF * -math.expm1(-kappa * d)
+    """Absorption re-emission noise temperature T_ref*(1 - tau) [K]: the
+    one-point view of :func:`noise_model`."""
+    return float(_molecular_noise(medium, env, (f,), d)[0])
 
 
-def noise_model(medium: Medium, env: Environment, band: BandPlan, d: float,
-                wing_cutoff: float | None = DEFAULT_WING_CUTOFF) -> NoiseModel:
+def noise_model(medium: Medium, env: Environment, band: BandPlan,
+                d: float) -> NoiseModel:
     """Subband noise temperatures over a band plan."""
-    kappa = kappa_over_grid(medium, band.f_k, env, wing_cutoff)
-    t_m = T_REF * -np.expm1(-kappa * d)
+    t_m = _molecular_noise(medium, env, band.f_k, d)
     return NoiseModel(t_s=env.t_s, t_m=t_m, t_tot=env.t_s + t_m)
 
 
@@ -159,13 +179,12 @@ def psi_grid(geom: LinkGeometry, epsilon_r: float, f_k, kappa, d, t_s,
     with np.errstate(over="ignore"):
         bracket = t_s + (t_s + T_REF) * np.expm1(kappa * d)
         psi = BOLTZMANN * l_d * delta_f * bracket
-    return psi, np.broadcast_to(null, psi.shape)
+    return psi, (null if null.shape == psi.shape  # broadcast_to is slow
+                 else np.broadcast_to(null, psi.shape))
 
 
 def psi_coefficients(geom: LinkGeometry, medium: Medium, env: Environment,
-                     band: BandPlan, d: float,
-                     wing_cutoff: float | None = DEFAULT_WING_CUTOFF
-                     ) -> np.ndarray:
+                     band: BandPlan, d: float) -> np.ndarray:
     """Noise-loss floor Psi_k [W] of every subband.
 
     Equals k_B * L(f_k) * T_tot(f_k) * delta_f; opaque subbands saturate
@@ -176,7 +195,7 @@ def psi_coefficients(geom: LinkGeometry, medium: Medium, env: Environment,
     null.
     """
     _check_distance(geom, d)
-    kappa = kappa_over_grid(medium, band.f_k, env, wing_cutoff)
+    kappa = kappa_over_grid(medium, band.f_k, env)
     psi, null = psi_grid(geom, medium.epsilon_r, band.f_k, kappa, d,
                          env.t_s, band.delta_f)
     if null.any():
@@ -208,7 +227,7 @@ def water_filling_grid(psi, p_t: float) -> tuple[np.ndarray, np.ndarray]:
     floors are all infinite, or so large that the budget rounds away.
     """
     psi = np.asarray(psi, dtype=np.float64)
-    if not np.all(psi > 0):
+    if not (psi > 0).all():
         raise DomainError("every psi entry must be > 0")
     _check_budget(p_t)
     if p_t == 0:
@@ -247,7 +266,7 @@ def allocation_capacity_grid(p_k, psi, delta_f) -> np.ndarray:
     p_k = np.asarray(p_k, dtype=np.float64)
     funded = p_k > 0
     ratio = np.divide(p_k, psi, out=np.zeros(funded.shape), where=funded)
-    return delta_f * np.sum(np.log2(1.0 + ratio), axis=-1)
+    return delta_f * np.log2(1.0 + ratio).sum(axis=-1)
 
 
 def water_filling(psi, p_t: float, delta_f: float | None = None
@@ -260,9 +279,8 @@ def water_filling(psi, p_t: float, delta_f: float | None = None
     if psi.ndim != 1 or psi.size == 0:
         raise DomainError("psi must be a non-empty 1-D array")
     allocation, theta = water_filling_grid(psi[None, :], p_t)
-    capacity = None
-    if delta_f is not None:
-        capacity = allocation_capacity(allocation[0], psi, delta_f)
+    capacity = (None if delta_f is None
+                else allocation_capacity(allocation[0], psi, delta_f))
     return PowerAllocation(p_k=allocation[0], theta=float(theta[0]),
                            psi_k=psi, capacity_bits_per_s=capacity)
 
@@ -273,27 +291,22 @@ def allocation_capacity(p_k, psi, delta_f: float) -> float:
 
 
 def channel_capacity(geom: LinkGeometry, medium: Medium, env: Environment,
-                     band: BandPlan, d: float, p_t: float,
-                     wing_cutoff: float | None = DEFAULT_WING_CUTOFF
-                     ) -> PowerAllocation:
+                     band: BandPlan, d: float, p_t: float) -> PowerAllocation:
     """Water-filled channel capacity; the result carries the allocation."""
-    psi = psi_coefficients(geom, medium, env, band, d, wing_cutoff)
+    psi = psi_coefficients(geom, medium, env, band, d)
     return water_filling(psi, p_t, delta_f=band.delta_f)
 
 
 def flat_allocation_capacity(geom: LinkGeometry, medium: Medium,
                              env: Environment, band: BandPlan, d: float,
-                             p_t: float,
-                             wing_cutoff: float | None = DEFAULT_WING_CUTOFF
-                             ) -> PowerAllocation:
+                             p_t: float) -> PowerAllocation:
     """Capacity with the budget split evenly across subbands."""
     _check_budget(p_t)
-    psi = psi_coefficients(geom, medium, env, band, d, wing_cutoff)
+    psi = psi_coefficients(geom, medium, env, band, d)
     allocation = np.full(band.k, p_t / band.k)
-    return PowerAllocation(
-        p_k=allocation, theta=None, psi_k=psi,
-        capacity_bits_per_s=allocation_capacity(allocation, psi,
-                                                band.delta_f))
+    return PowerAllocation(p_k=allocation, theta=None, psi_k=psi,
+                           capacity_bits_per_s=allocation_capacity(
+                               allocation, psi, band.delta_f))
 
 
 # Small-antenna approximation applies while this regime measure stays
@@ -303,9 +316,7 @@ APPROX_REGIME_LIMIT = 0.1
 
 def approx_capacity_small_antenna(geom: LinkGeometry, medium: Medium,
                                   env: Environment, band: BandPlan, d: float,
-                                  p_t: float,
-                                  wing_cutoff: float | None = DEFAULT_WING_CUTOFF
-                                  ) -> PowerAllocation:
+                                  p_t: float) -> PowerAllocation:
     """Capacity in the small-antenna limit (unit gains, h_t*h_r << d).
 
     Replaces the exact floors with their Maclaurin-limit form
@@ -321,7 +332,7 @@ def approx_capacity_small_antenna(geom: LinkGeometry, medium: Medium,
     if geom.g_t != 1.0 or geom.g_r != 1.0:
         raise ApproximationRegimeError(
             "the small-antenna approximation assumes unit antenna gains")
-    kappa = kappa_over_grid(medium, band.f_k, env, wing_cutoff)
+    kappa = kappa_over_grid(medium, band.f_k, env)
     phi = (BOLTZMANN * d ** 4 * band.delta_f
            * (env.t_s + (env.t_s + T_REF) * kappa * d)
            / (geom.h_t ** 2 * geom.h_r ** 2))
@@ -329,7 +340,7 @@ def approx_capacity_small_antenna(geom: LinkGeometry, medium: Medium,
 
 
 __all__ = [
-    "BandPlan", "NoiseModel", "PowerAllocation",
+    "BandPlan", "centered_band_grid", "NoiseModel", "PowerAllocation",
     "molecular_noise_temperature", "noise_model", "noise_power",
     "psi_grid", "psi_coefficients", "water_filling_grid", "water_filling",
     "allocation_capacity_grid", "allocation_capacity", "channel_capacity",

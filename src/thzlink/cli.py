@@ -10,6 +10,7 @@ model-domain error (e.g. a two-ray null at the requested frequency).
 from __future__ import annotations
 
 import argparse
+import itertools
 import re
 import sys
 from collections.abc import Iterator
@@ -143,12 +144,14 @@ def _load_run_config(args) -> tuple[Scenario, float]:
     return scenario, float(scenario.band.f_k[0] + scenario.band.f_k[-1]) / 2.0
 
 
-def _emit(text: str, path: str | None):
+def _emit(text: str | Iterator[str], path: str | None):
+    """Write ``text``, or each of its blocks in turn, to ``path`` or stdout."""
+    blocks = [text] if isinstance(text, str) else text
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(blocks)
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            handle.writelines(blocks)
 
 
 def cmd_pathloss(args) -> int:
@@ -191,12 +194,12 @@ def cmd_capacity(args) -> int:
                         scenario.geom.d, scenario.p_t)
     theta_text = ("n/a" if allocation.theta is None
                   else f"{allocation.theta:.6e} W")
+    subbands = list(enumerate(zip(band.f_k, allocation.psi_k,
+                                  allocation.p_k), start=1))
     if args.format == "csv":
-        lines = ["subband,f_k_Hz,psi_k_W,p_k_W"]
-        for k in range(band.k):
-            lines.append(f"{k + 1},{band.f_k[k]:.12e},"
-                         f"{allocation.psi_k[k]:.12e},"
-                         f"{allocation.p_k[k]:.12e}")
+        lines = ["subband,f_k_Hz,psi_k_W,p_k_W"] + [
+            f"{k},{f_k:.12e},{psi:.12e},{p_k:.12e}"
+            for k, (f_k, psi, p_k) in subbands]
         _emit("\n".join(lines) + "\n", args.out)
         return 0
     lines = [
@@ -206,9 +209,8 @@ def cmd_capacity(args) -> int:
         f"subbands             : {band.k} x {band.delta_f:.6e} Hz",
         "subband  f_k_Hz        psi_k_W        p_k_W",
     ]
-    for k in range(band.k):
-        lines.append(f"{k + 1:>7d}  {band.f_k[k]:.6e}  "
-                     f"{allocation.psi_k[k]:.6e}  {allocation.p_k[k]:.6e}")
+    lines += [f"{k:>7d}  {f_k:.6e}  {psi:.6e}  {p_k:.6e}"
+              for k, (f_k, psi, p_k) in subbands]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -244,8 +246,16 @@ def _rows(result: SweepResult, spec: str) -> Iterator[tuple[str, ...]]:
         yield from zip(*columns, gap)
 
 
+def csv_blocks(result: SweepResult) -> Iterator[str]:
+    """render_csv's text, in blocks of up to RENDER_BLOCK_ROWS lines."""
+    rows = _rows(result, ".12e")
+    while block := list(itertools.islice(rows, RENDER_BLOCK_ROWS)):
+        yield "\n".join(",".join(r) for r in block) + "\n"
+
+
 def render_csv(result: SweepResult) -> str:
-    """Locale-independent CSV: '.' decimals, %.12e cells, LF endings."""
+    """Locale-independent CSV: '.' decimals, %.12e cells, LF endings; the
+    rows are joined at once, as holding csv_blocks' blocks costs more RSS."""
     return "\n".join(",".join(r) for r in _rows(result, ".12e")) + "\n"
 
 
@@ -283,8 +293,9 @@ def cmd_sweep(args) -> int:
                                             args.allocation,
                                             log_axis=args.log)
 
-    renderer = render_table if args.format == "pretty" else render_csv
-    _emit(renderer(result), args.out)
+    # the table's column widths need every row; the CSV streams
+    _emit(render_table(result) if args.format == "pretty"
+          else csv_blocks(result), args.out)
     return 0
 
 

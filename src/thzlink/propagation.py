@@ -3,8 +3,9 @@
 The in-package channel combines a direct and a single dominant reflected
 ray; their phase relation produces the csc^2 term of the spreading loss.
 Total path loss multiplies that dielectric loss by the molecular
-absorption attenuation. All gains and losses are linear internally; dB
-appears only at the reporting boundary.
+absorption attenuation, whose wing cutoff and overflow cap are model
+constants. All gains and losses are linear internally; dB appears only at
+the reporting boundary.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .absorption import (DEFAULT_OVERFLOW_CAP, DEFAULT_WING_CUTOFF,
-                         Environment, kappa_over_grid)
+from .absorption import Environment, _beer_lambert, kappa_over_grid
 from .constants import LIGHT_SPEED
 from .errors import DomainError, TwoRayNullError, ValidationError
 from .kernels import _check_frequencies
@@ -155,21 +155,19 @@ def two_ray_grid(geom: LinkGeometry, f, epsilon_r: float, d) -> tuple:
     return l_d, np.abs(sine) < NULL_SINE_TOLERANCE
 
 
-def path_loss_grid(geom: LinkGeometry, epsilon_r: float, f, kappa, d,
-                   overflow_cap: float = DEFAULT_OVERFLOW_CAP) -> tuple:
+def path_loss_grid(geom: LinkGeometry, epsilon_r: float, f, kappa,
+                   d) -> tuple:
     """Path loss over broadcasting f [Hz], kappa [1/m] and d [m]: L_d and
     L_a (linear), then L_d, L_a and L = L_d * L_a in dB, and each cell's
     gap reason.
 
     The reasons are an object array of "two-ray-null", "opaque" or "" for
     none; the null takes precedence. An opaque cell, whose kappa * d
-    exceeds the overflow cap, saturates L_a at exp(cap). Raises as
+    exceeds DEFAULT_OVERFLOW_CAP, saturates L_a at exp(cap). Raises as
     two_ray_grid.
     """
     l_d, null = two_ray_grid(geom, f, epsilon_r, d)
-    optical_depth = kappa * d
-    opaque = optical_depth > overflow_cap
-    l_a = np.exp(np.minimum(optical_depth, overflow_cap))
+    l_a, opaque = _beer_lambert(kappa * d)
     l_d_db, l_a_db = 10.0 * np.log10(l_d), 10.0 * np.log10(l_a)
     reasons = np.where(null, "two-ray-null", np.where(opaque, "opaque", ""))
     return l_d, l_a, l_d_db, l_a_db, l_d_db + l_a_db, reasons.astype(object)
@@ -203,10 +201,7 @@ def dielectric_path_loss(geom: LinkGeometry, f: float, epsilon_r: float,
 
 
 def total_path_loss(geom: LinkGeometry, medium: Medium, env: Environment,
-                    f: float, d: float | None = None,
-                    wing_cutoff: float | None = DEFAULT_WING_CUTOFF,
-                    overflow_cap: float = DEFAULT_OVERFLOW_CAP
-                    ) -> PathLossReport:
+                    f: float, d: float | None = None) -> PathLossReport:
     """Total path loss L = L_d * L_a with dB components: the one-cell view
     of :func:`path_loss_grid`, so it has the bits of a sweep's cell.
 
@@ -214,9 +209,8 @@ def total_path_loss(geom: LinkGeometry, medium: Medium, env: Environment,
     dielectric_path_loss and kappa_over_grid do.
     """
     d = _check_distance(geom, d)
-    kappa = kappa_over_grid(medium, (f,), env, wing_cutoff)[0]
-    *losses, reason = path_loss_grid(geom, medium.epsilon_r, f, kappa, d,
-                                     overflow_cap)
+    kappa = kappa_over_grid(medium, (f,), env)[0]
+    *losses, reason = path_loss_grid(geom, medium.epsilon_r, f, kappa, d)
     if reason == "two-ray-null":
         raise TwoRayNullError(two_ray_argument(geom, f, medium.epsilon_r, d),
                               frequency=f)
@@ -227,9 +221,7 @@ def total_path_loss(geom: LinkGeometry, medium: Medium, env: Environment,
 
 
 def link_budget_db(geom: LinkGeometry, medium: Medium, env: Environment,
-                   f: float, p_t: float,
-                   wing_cutoff: float | None = DEFAULT_WING_CUTOFF
-                   ) -> LinkBudget:
+                   f: float, p_t: float) -> LinkBudget:
     """Received power at the far antenna, term by term in dB.
 
     The absorption term uses the exact 10*log10(e) constant so the ledger
@@ -238,7 +230,7 @@ def link_budget_db(geom: LinkGeometry, medium: Medium, env: Environment,
     if not p_t > 0:
         raise DomainError(f"transmit power must be > 0, got {p_t!r}")
     l_d = dielectric_path_loss(geom, f, medium.epsilon_r)
-    kappa = float(kappa_over_grid(medium, (f,), env, wing_cutoff)[0])
+    kappa = float(kappa_over_grid(medium, (f,), env)[0])
     p_t_dbw = db(p_t)
     g_t_db = db(geom.g_t)
     g_r_db = db(geom.g_r)

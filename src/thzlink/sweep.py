@@ -17,8 +17,8 @@ import numpy as np
 
 from . import kernels
 from .absorption import DEFAULT_WING_CUTOFF, Environment, kappa_over_grid
-from .capacity import (BandPlan, allocation_capacity_grid, psi_grid,
-                       water_filling_grid)
+from .capacity import (BandPlan, allocation_capacity_grid, centered_band_grid,
+                       psi_grid, water_filling_grid)
 from .capacity import channel_capacity  # noqa: F401 (perfbench patches it)
 from .constants import ATM_IN_KPA
 from .errors import DomainError, ValidationError
@@ -202,15 +202,12 @@ def sweep_capacity_vs_frequency(scenario: Scenario,
                                 log_axis: bool = False) -> SweepResult:
     """Capacity [bits/s] vs center frequency of a re-centered band."""
     freqs = _axis_values(f_range[0], f_range[1], n_points, log_axis)
-    bands = [BandPlan.centered(float(f), scenario.band.b, scenario.band.k)
-             for f in freqs]
-    f_k = np.array([band.f_k for band in bands])
-    delta_f = np.array([[band.delta_f] for band in bands])
+    f_k, b = centered_band_grid(freqs, scenario.band.b, scenario.band.k)
+    delta_f = b[:, None] / scenario.band.k  # BandPlan.delta_f of each row
     env = scenario.env
     cells = {}
     for model, medium in _model_media(scenario):
-        kappa = kernels.kappa_totals(f_k, medium.packed, env.t_s, env.p,
-                                     DEFAULT_WING_CUTOFF)
+        kappa = kappa_over_grid(medium, f_k, env)
         cells[f"C_bps_{model}"] = _capacity_cells(
             scenario, medium, ["waterfilling"], f_k, kappa, scenario.geom.d,
             env.t_s, delta_f)["waterfilling"]

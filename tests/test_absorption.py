@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from thzlink import kernels
-from thzlink.absorption import (Attenuation, Environment,
+from thzlink.absorption import (DEFAULT_OVERFLOW_CAP, Attenuation,
+                                Environment,
                                 attenuation_from_optical_depth,
                                 kappa_over_grid, line_absorption,
                                 lorentz_half_width, maa, medium_kappa,
                                 shifted_resonance, spectral_line_shape,
                                 vvw_line_shape)
-from thzlink.constants import ATM_IN_KPA
+from thzlink.constants import ATM_IN_KPA, BOLTZMANN, PLANCK
 from thzlink.errors import DomainError, ValidationError
+from thzlink.propagation import path_loss_grid
 from thzlink.spectro import Medium
 
 
@@ -63,6 +65,27 @@ def test_scalar_center_and_width_are_the_kernels_bitwise(default_medium):
             assert shifted_resonance(line, env) == f_c[j]
             width = lorentz_half_width(line, default_medium.q_for(line), env)
             assert width * width == alpha2[j]  # the kernel's square
+
+
+def test_scalar_line_shapes_square_and_tanh_as_the_kernel(default_medium):
+    """The line shapes square by multiplying and take np.tanh, as the kernel
+    does. On the 1.661 THz water line at 0.2 atm, libm's alpha ** 2 is one
+    bit off alpha * alpha, and math.tanh(a f) at 1 THz one bit off
+    np.tanh."""
+    line = next(line for line in default_medium.lines
+                if line.f_c0 == 1661061442500.0)
+    q, env = default_medium.q_for(line), Environment(t_s=296.0, p=0.2)
+    alpha = lorentz_half_width(line, q, env)
+    f_c = shifted_resonance(line, env)
+    a = PLANCK / (2.0 * BOLTZMANN * env.t_s)
+    for f in (f_c, 1.0e12):
+        dm, dp = f - f_c, f + f_c
+        vvw = ((alpha / math.pi) * (f / f_c)
+               * (1.0 / (dm * dm + alpha * alpha)
+                  + 1.0 / (dp * dp + alpha * alpha)))
+        assert vvw_line_shape(line, f, env, q) == vvw, f
+        assert spectral_line_shape(line, f, env, q) == (
+            (f / f_c) * float(np.tanh(a * f) / np.tanh(a * f_c)) * vvw), f
 
 
 class TestShiftedResonance:
@@ -189,8 +212,10 @@ class TestMediumKappa:
                 for f in (0.5e12, line.f_c0, 2.7e12):
                     medium = Medium(composition={line.species: q},
                                     lines=(line,))
-                    assert line_absorption(line, q, f, env) == medium_kappa(
-                        medium, f, env, wing_cutoff=None).total_kappa
+                    # medium_kappa's per-line sum, without the cutoff
+                    assert line_absorption(line, q, f, env) == (
+                        kernels.line_contributions(
+                            (f,), medium.packed, env.t_s, env.p).sum())
 
     def test_total_is_sum_of_contributions(self, default_medium, env):
         breakdown = medium_kappa(default_medium, 1.21e12, env)
@@ -245,6 +270,22 @@ class TestMaa:
     def test_negative_path_rejected(self, water_medium, env):
         with pytest.raises(DomainError):
             maa(water_medium, 1.0e12, env, -1.0)
+
+    def test_is_the_path_loss_grid_cell_bitwise(self, default_scenario):
+        """maa's loss has the bits of path_loss_grid's L_a, whose
+        saturation it shares, and its transmittance those of exp(-kappa d)
+        over the grid."""
+        geom, env = default_scenario.geom, default_scenario.env
+        medium = default_scenario.medium
+        freqs = np.linspace(1.0e12, 3.0e12, 401)
+        kappa = kappa_over_grid(medium, freqs, env)
+        for d in (1.0e-4, 2.0e-2, 10.0):  # 10 m is opaque at some f
+            _, l_a, *_ = path_loss_grid(geom, 1.0, freqs, kappa, d)
+            for i, f in enumerate(freqs.tolist()):
+                out = maa(medium, f, env, d)
+                assert out.loss == l_a[i], (f, d)
+                assert out.transmittance == np.exp(-kappa * d)[i], (f, d)
+                assert out.opaque == (kappa[i] * d > DEFAULT_OVERFLOW_CAP)
 
     def test_loss_nondecreasing_in_distance(self, water_medium, env):
         losses = [maa(water_medium, 1.3e12, env, d).loss

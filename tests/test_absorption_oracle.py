@@ -111,19 +111,30 @@ def test_kernel_finite_cutoff(default_medium, env):
     assert skipped  # the cutoff removes lines somewhere on the grid
 
 
-@pytest.mark.parametrize("wing_cutoff", [None, 0.35e12])
-def test_medium_kappa_total_and_per_line(default_medium, wing_cutoff):
+@pytest.mark.parametrize("cutoff", [None, 0.35e12])
+def test_medium_kappa_total_and_per_line(default_medium, cutoff):
+    """medium_kappa at the wing cutoff, and the kernel's per-line terms and
+    their sum, as medium_kappa forms them, at ``cutoff`` (None: none)."""
     env = Environment(t_s=321.0, p=1.4)
     for f in (0.55e12, 1.2e12, 1.6693e12, 2.9e12):
-        breakdown = medium_kappa(default_medium, f, env, wing_cutoff)
+        breakdown = medium_kappa(default_medium, f, env)
         assert_close(breakdown.total_kappa, oracle_kappa(
-            default_medium, f, env.t_s, env.p, wing_cutoff), f"f={f!r}")
+            default_medium, f, env.t_s, env.p, DEFAULT_WING_CUTOFF),
+            f"f={f!r}")
         assert len(breakdown.per_line) == len(default_medium.lines)
+        terms = kernels.line_contributions(
+            (f,), default_medium.packed, env.t_s, env.p,
+            np.inf if cutoff is None else cutoff)[:, 0]
+        assert_close(terms.sum(), oracle_kappa(
+            default_medium, f, env.t_s, env.p, cutoff), f"f={f!r}")
         for index, line in enumerate(default_medium.lines):
             key = (line.gas_id, line.iso_id, index)
             assert_close(breakdown.per_line[key], oracle_line(
                 line, default_medium.q_for(line), f, env.t_s, env.p,
-                wing_cutoff), f"f={f!r}, line {key}")
+                DEFAULT_WING_CUTOFF), f"f={f!r}, line {key}")
+            assert_close(terms[index], oracle_line(
+                line, default_medium.q_for(line), f, env.t_s, env.p,
+                cutoff), f"f={f!r}, line {key}")
 
 
 def test_line_absorption(line_factory):

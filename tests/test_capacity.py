@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from thzlink.absorption import Environment, kappa_over_grid, medium_kappa
+from thzlink.absorption import (Environment, kappa_over_grid, maa,
+                                medium_kappa)
 from thzlink.capacity import (BandPlan, allocation_capacity,
                               approx_capacity_small_antenna, channel_capacity,
                               flat_allocation_capacity,
@@ -70,6 +71,26 @@ class TestNoiseTemperature:
                                            d) == pytest.approx(148.0,
                                                                rel=1e-9)
 
+    def test_negative_path_rejected(self, default_medium, env, band):
+        """The noise formula checks d as maa does."""
+        message = "path length must be >= 0, got -0.001"
+        for noise in (
+                lambda: molecular_noise_temperature(default_medium, env,
+                                                    1.1e12, -1.0e-3),
+                lambda: noise_model(default_medium, env, band, -1.0e-3),
+                lambda: noise_power(default_medium, env, band, -1.0e-3),
+                lambda: maa(default_medium, 1.1e12, env, -1.0e-3)):
+            with pytest.raises(DomainError) as excinfo:
+                noise()
+            assert str(excinfo.value) == message
+
+    def test_point_is_the_noise_model_cell_bitwise(self, default_medium,
+                                                     env, band):
+        for d in (0.0, 1.0e-4, 2.0e-2, 10.0):
+            t_m = noise_model(default_medium, env, band, d).t_m
+            assert [molecular_noise_temperature(default_medium, env, f, d)
+                    for f in band.f_k.tolist()] == t_m.tolist()
+
     def test_total_noise_bounds(self, water_medium, env, band):
         model = noise_model(water_medium, env, band, 5.0e-4)
         assert np.all(model.t_tot >= env.t_s)
@@ -108,12 +129,10 @@ class TestPsiCoefficients:
                                                   water_medium, band):
         # independent route: k_B * L(f_k) * T_tot(f_k) * delta_f
         d = 2.0e-4
-        psi = psi_coefficients(geom, water_medium, env, band, d,
-                               wing_cutoff=None)
+        psi = psi_coefficients(geom, water_medium, env, band, d)
         for k in (0, 13, 31, 63):
             f = float(band.f_k[k])
-            loss = total_path_loss(geom, water_medium, env, f, d=d,
-                                   wing_cutoff=None).l
+            loss = total_path_loss(geom, water_medium, env, f, d=d).l
             t_tot = env.t_s + molecular_noise_temperature(
                 water_medium, env, f, d)
             assert psi[k] == pytest.approx(

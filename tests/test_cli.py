@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_grid_fixtures import gap_scenario, null_frequency
 
-from thzlink.cli import main, render_csv, render_table
+from thzlink.cli import RENDER_BLOCK_ROWS, main, render_csv, render_table
 from thzlink.config import load_scenario
 from thzlink.constants import LIGHT_SPEED
 from thzlink.sweep import sweep_pathloss_vs_frequency, sweep_vs_temperature
@@ -334,6 +334,25 @@ def test_render_matches_row_by_row_reference(name, render, reference):
         assert {line.split()[-1] if render is render_table
                 else line.split(",")[-1]
                 for line in lines} == {"opaque;two-ray-null"}
+
+
+def test_streamed_csv_is_render_csv(capsys, tmp_path):
+    """The sweep CSV is written block by block; over several blocks with
+    gap rows, the --out bytes and stdout are render_csv's."""
+    lo, hi = NULL_FREQUENCY, 2.0 * NULL_FREQUENCY  # both ends are nulls
+    n = 2 * RENDER_BLOCK_ROWS + 1
+    argv = ["sweep", "--axis", "frequency", "--from", repr(lo), "--to",
+            repr(hi), "--points", str(n), "--distances", "1e-4,2e-4"]
+    result = sweep_pathloss_vs_frequency(load_scenario(), (lo, hi), n,
+                                         [1.0e-4, 2.0e-4])
+    gap_rows = sorted({result.samples.tolist().index(x)
+                       for x, _, _ in result.gaps})
+    assert gap_rows[0] == 0 and gap_rows[-1] == n - 1
+    expected = render_csv(result)
+    target = tmp_path / "sweep.csv"
+    assert run(capsys, *argv, "--out", str(target)) == (0, "", "")
+    assert target.read_bytes() == expected.encode("ascii")
+    assert run(capsys, *argv) == (0, expected, "")
 
 
 @pytest.mark.parametrize("argv", [

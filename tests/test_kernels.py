@@ -25,17 +25,24 @@ def test_pack_lines_respects_per_species_q(full_catalog):
 
 def test_grid_matches_scalar_reference(default_medium, env):
     freqs = np.linspace(0.9e12, 1.6e12, 37)
-    grid = kappa_over_grid(default_medium, freqs, env, wing_cutoff=None)
+    packed = default_medium.packed
+    grid = kernels.kappa_totals(freqs, packed, env.t_s, env.p)
+    model_grid = kappa_over_grid(default_medium, freqs, env)
     for i, f in enumerate(freqs):
-        scalar = medium_kappa(default_medium, float(f), env,
-                              wing_cutoff=None).total_kappa
+        # medium_kappa's per-line sum, without and at the wing cutoff
+        scalar = kernels.line_contributions((f,), packed, env.t_s,
+                                            env.p).sum()
         assert grid[i] == pytest.approx(scalar, rel=1e-12)
+        assert model_grid[i] == pytest.approx(
+            medium_kappa(default_medium, float(f), env).total_kappa,
+            rel=1e-12)
 
 
 def test_wing_cutoff_skips_far_lines(default_medium, env):
     f_far = np.array([8.5e12])  # > 5 THz beyond every catalog line
     assert kappa_over_grid(default_medium, f_far, env)[0] == 0.0
-    assert kappa_over_grid(default_medium, f_far, env, wing_cutoff=None)[0] > 0.0
+    assert kernels.kappa_totals(f_far, default_medium.packed, env.t_s,
+                                env.p)[0] > 0.0
     scalar = medium_kappa(default_medium, 8.5e12, env).total_kappa
     assert scalar == 0.0
 
@@ -87,16 +94,13 @@ def test_rows_match_one_row_calls_bitwise(default_medium, env):
                                 default_medium.packed, env.t_s, env.p)
     assert by_t.shape == by_p.shape == by_f.shape == (9, 37)
     for row in range(9):
-        assert np.array_equal(by_t[row], kappa_over_grid(
-            default_medium, freqs, Environment(t_s=temps[row], p=env.p),
-            wing_cutoff=None))
-        assert np.array_equal(by_p[row], kappa_over_grid(
-            default_medium, freqs, Environment(t_s=env.t_s,
-                                               p=pressures[row]),
-            wing_cutoff=None))
-        assert np.array_equal(by_f[row], kappa_over_grid(
-            default_medium, freqs * np.linspace(1, 2, 9)[row], env,
-            wing_cutoff=None))
+        assert np.array_equal(by_t[row], kernels.kappa_totals(
+            freqs, default_medium.packed, temps[row], env.p))
+        assert np.array_equal(by_p[row], kernels.kappa_totals(
+            freqs, default_medium.packed, env.t_s, pressures[row]))
+        assert np.array_equal(by_f[row], kernels.kappa_totals(
+            freqs * np.linspace(1, 2, 9)[row], default_medium.packed,
+            env.t_s, env.p))
 
 
 def test_cold_rows_at_high_frequency_saturate_tanh_without_warning(

@@ -7,7 +7,9 @@ import pytest
 from thzlink import kernels
 from thzlink.absorption import (DEFAULT_WING_CUTOFF, Environment,
                                 kappa_over_grid)
-from thzlink.capacity import BandPlan, channel_capacity
+from thzlink.capacity import BandPlan, centered_band_grid, channel_capacity
+from thzlink.cli import main
+from thzlink.config import load_scenario
 from thzlink.constants import LIGHT_SPEED
 from thzlink.errors import DomainError, TwoRayNullError, ValidationError
 from thzlink.propagation import (LinkGeometry, dielectric_path_loss,
@@ -61,6 +63,45 @@ def test_capacity_sweep_orders_models(default_scenario):
     prop = column(result, "C_bps_proposed")
     conv = column(result, "C_bps_conventional")
     assert all(p[1] <= c[1] for p, c in zip(prop, conv))
+
+
+@pytest.mark.parametrize("f_range, n_points, log_axis, message", [
+    ((1.0e9, 1.0e12), 50, False,
+     "frequency 1000000000.0 Hz puts the band edges at "
+     "[-49000000000.0, 51000000000.0]; they must satisfy 0 <= f_lo < f_hi"),
+    ((1.0e20, 1.0e27), 300, True,
+     "frequency 9.6966578931455e+24 Hz is too large to split a "
+     "100000000000.0 Hz band into 64 subbands in float64")],
+    ids=["low-rows-below-zero", "high-end-collapses"])
+def test_capacity_axis_band_errors(capsys, f_range, n_points, log_axis,
+                                   message):
+    """The first row whose band cannot be split names itself, in the sweep
+    and in the CLI, which exits 2."""
+    scenario = load_scenario()
+    with pytest.raises(DomainError) as excinfo:
+        sweep_capacity_vs_frequency(scenario, f_range, n_points, log_axis)
+    assert str(excinfo.value) == message
+    argv = ["sweep", "--axis", "frequency", "--metric", "capacity",
+            "--from", repr(f_range[0]), "--to", repr(f_range[1]),
+            "--points", str(n_points)] + ["--log"] * log_axis
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"model error: {message}\n")
+
+
+def test_centered_band_grid_is_each_rows_band_bitwise(default_scenario):
+    """Up to 1e15 Hz, each row's subband centers and width have the bits
+    of BandPlan.centered and of the scalar edges formula."""
+    b, k = default_scenario.band.b, default_scenario.band.k
+    centers = np.geomspace(5.0e10, 1.0e15, 2000)
+    f_k, widths = centered_band_grid(centers, b, k)
+    delta_f = widths / k
+    for i, f in enumerate(centers.tolist()):
+        band = BandPlan.centered(f, b, k)
+        f_lo, f_hi = f - b / 2.0, f + b / 2.0
+        expected = f_lo + (np.arange(k) + 0.5) * ((f_hi - f_lo) / k)
+        assert np.array_equal(f_k[i], band.f_k), f
+        assert np.array_equal(f_k[i], expected), f
+        assert delta_f[i] == band.delta_f == (f_hi - f_lo) / k, f
 
 
 def test_zero_width_range_rejected(default_scenario):
