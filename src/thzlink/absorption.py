@@ -51,9 +51,11 @@ class Environment:
     p: float = 1.0
 
     def __post_init__(self):
-        problems = [f"{name} must be finite and > 0, got {value!r}"
-                    for name, value in (("t_s", self.t_s), ("p", self.p))
-                    if not 0 < value < math.inf]
+        problems = []
+        if not 0 < self.t_s < math.inf:
+            problems.append(f"t_s must be finite and > 0, got {self.t_s!r}")
+        if not 0 < self.p < math.inf:
+            problems.append(f"p must be finite and > 0, got {self.p!r}")
         if problems:
             raise ValidationError(problems)
 

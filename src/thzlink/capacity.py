@@ -46,9 +46,9 @@ class BandPlan:
             problems.append(
                 f"expected {self.k} center frequencies, got shape {f_k.shape}")
         else:
-            if not (f_k > 0).all():
+            if not np.all(f_k > 0):
                 problems.append("every center frequency must be > 0")
-            if not (f_k[1:] > f_k[:-1]).all():
+            if self.k > 1 and not np.all(np.diff(f_k) > 0):
                 problems.append("center frequencies must be strictly increasing")
         if problems:
             raise ValidationError(problems)
@@ -65,14 +65,18 @@ class BandPlan:
                 [f"band edges must satisfy 0 <= f_lo < f_hi, got "
                  f"[{f_lo!r}, {f_hi!r}]"])
         b = f_hi - f_lo
-        return cls(b=b, k=k, f_k=f_lo + (np.arange(k) + 0.5) * (b / k))
+        delta = b / k
+        centers = f_lo + (np.arange(k) + 0.5) * delta
+        return cls(b=b, k=k, f_k=centers)
 
     @classmethod
     def centered(cls, center: float, bandwidth: float, k: int) -> "BandPlan":
         """The band around a model-domain frequency ``center`` [Hz]: the
         one-row view of :func:`centered_band_grid`, and raises as it does."""
         f_k, b = centered_band_grid((center,), bandwidth, k)
-        return cls(b=float(b[0]), k=k, f_k=f_k[0])
+        plan = object.__new__(cls)  # the grid made __post_init__'s checks
+        plan.__dict__.update(b=float(b[0]), k=k, f_k=f_k[0])
+        return plan
 
 
 def centered_band_grid(centers, bandwidth: float, k: int) -> tuple:
@@ -179,8 +183,7 @@ def psi_grid(geom: LinkGeometry, epsilon_r: float, f_k, kappa, d, t_s,
     with np.errstate(over="ignore"):
         bracket = t_s + (t_s + T_REF) * np.expm1(kappa * d)
         psi = BOLTZMANN * l_d * delta_f * bracket
-    return psi, (null if null.shape == psi.shape  # broadcast_to is slow
-                 else np.broadcast_to(null, psi.shape))
+    return psi, np.broadcast_to(null, psi.shape)
 
 
 def psi_coefficients(geom: LinkGeometry, medium: Medium, env: Environment,
@@ -227,7 +230,7 @@ def water_filling_grid(psi, p_t: float) -> tuple[np.ndarray, np.ndarray]:
     floors are all infinite, or so large that the budget rounds away.
     """
     psi = np.asarray(psi, dtype=np.float64)
-    if not (psi > 0).all():
+    if not np.all(psi > 0):
         raise DomainError("every psi entry must be > 0")
     _check_budget(p_t)
     if p_t == 0:
@@ -266,7 +269,7 @@ def allocation_capacity_grid(p_k, psi, delta_f) -> np.ndarray:
     p_k = np.asarray(p_k, dtype=np.float64)
     funded = p_k > 0
     ratio = np.divide(p_k, psi, out=np.zeros(funded.shape), where=funded)
-    return delta_f * np.log2(1.0 + ratio).sum(axis=-1)
+    return delta_f * np.sum(np.log2(1.0 + ratio), axis=-1)
 
 
 def water_filling(psi, p_t: float, delta_f: float | None = None
@@ -279,8 +282,9 @@ def water_filling(psi, p_t: float, delta_f: float | None = None
     if psi.ndim != 1 or psi.size == 0:
         raise DomainError("psi must be a non-empty 1-D array")
     allocation, theta = water_filling_grid(psi[None, :], p_t)
-    capacity = (None if delta_f is None
-                else allocation_capacity(allocation[0], psi, delta_f))
+    capacity = None
+    if delta_f is not None:
+        capacity = allocation_capacity(allocation[0], psi, delta_f)
     return PowerAllocation(p_k=allocation[0], theta=float(theta[0]),
                            psi_k=psi, capacity_bits_per_s=capacity)
 
@@ -304,9 +308,10 @@ def flat_allocation_capacity(geom: LinkGeometry, medium: Medium,
     _check_budget(p_t)
     psi = psi_coefficients(geom, medium, env, band, d)
     allocation = np.full(band.k, p_t / band.k)
-    return PowerAllocation(p_k=allocation, theta=None, psi_k=psi,
-                           capacity_bits_per_s=allocation_capacity(
-                               allocation, psi, band.delta_f))
+    return PowerAllocation(
+        p_k=allocation, theta=None, psi_k=psi,
+        capacity_bits_per_s=allocation_capacity(allocation, psi,
+                                                band.delta_f))
 
 
 # Small-antenna approximation applies while this regime measure stays

@@ -194,12 +194,12 @@ def cmd_capacity(args) -> int:
                         scenario.geom.d, scenario.p_t)
     theta_text = ("n/a" if allocation.theta is None
                   else f"{allocation.theta:.6e} W")
-    subbands = list(enumerate(zip(band.f_k, allocation.psi_k,
-                                  allocation.p_k), start=1))
     if args.format == "csv":
-        lines = ["subband,f_k_Hz,psi_k_W,p_k_W"] + [
-            f"{k},{f_k:.12e},{psi:.12e},{p_k:.12e}"
-            for k, (f_k, psi, p_k) in subbands]
+        lines = ["subband,f_k_Hz,psi_k_W,p_k_W"]
+        for k in range(band.k):
+            lines.append(f"{k + 1},{band.f_k[k]:.12e},"
+                         f"{allocation.psi_k[k]:.12e},"
+                         f"{allocation.p_k[k]:.12e}")
         _emit("\n".join(lines) + "\n", args.out)
         return 0
     lines = [
@@ -209,8 +209,9 @@ def cmd_capacity(args) -> int:
         f"subbands             : {band.k} x {band.delta_f:.6e} Hz",
         "subband  f_k_Hz        psi_k_W        p_k_W",
     ]
-    lines += [f"{k:>7d}  {f_k:.6e}  {psi:.6e}  {p_k:.6e}"
-              for k, (f_k, psi, p_k) in subbands]
+    for k in range(band.k):
+        lines.append(f"{k + 1:>7d}  {band.f_k[k]:.6e}  "
+                     f"{allocation.psi_k[k]:.6e}  {allocation.p_k[k]:.6e}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -254,9 +255,8 @@ def csv_blocks(result: SweepResult) -> Iterator[str]:
 
 
 def render_csv(result: SweepResult) -> str:
-    """Locale-independent CSV: '.' decimals, %.12e cells, LF endings; the
-    rows are joined at once, as holding csv_blocks' blocks costs more RSS."""
-    return "\n".join(",".join(r) for r in _rows(result, ".12e")) + "\n"
+    """Locale-independent CSV: '.' decimals, %.12e cells, LF endings."""
+    return "".join(csv_blocks(result))
 
 
 def render_table(result: SweepResult) -> str:

@@ -129,6 +129,33 @@ def _si_fields(values: dict) -> dict:
     }
 
 
+def _parse_field(record: str, name: str, line_number: int):
+    span, kind = _FIELDS[name]
+    raw = record[span[0] - 1:span[1]]
+    text = raw.strip()
+    if not text:
+        raise CatalogParseError(f"blank {name} field", line_number, span)
+    try:
+        return kind(text)
+    except ValueError:
+        raise CatalogParseError(
+            f"non-numeric {name} field {raw!r}", line_number, span) from None
+
+
+def _parse_record(record: str, line_number: int) -> tuple[tuple[int, int], float, SpectralLine]:
+    if len(record) != RECORD_WIDTH:
+        raise CatalogParseError(
+            f"record is {len(record)} characters, expected {RECORD_WIDTH}",
+            line_number)
+    values = {name: _parse_field(record, name, line_number)
+              for name in _FIELDS}
+    try:
+        line = SpectralLine(**_si_fields(values))
+    except ValidationError as exc:
+        raise CatalogParseError(str(exc), line_number) from None
+    return (values["gas_id"], values["iso_id"]), values["intensity"], line
+
+
 def _parse_records(raw_text: str, wanted: set[tuple[int, int]],
                    intensity_floor: float) -> list[SpectralLine]:
     """The reference parser: one record at a time, raising at the first
@@ -137,28 +164,12 @@ def _parse_records(raw_text: str, wanted: set[tuple[int, int]],
     for line_number, record in enumerate(raw_text.split("\n"), start=1):
         if not record:
             continue  # blank separator, e.g. trailing newline
-        if len(record) != RECORD_WIDTH:
-            raise CatalogParseError(
-                f"record is {len(record)} characters, expected {RECORD_WIDTH}",
-                line_number)
-        values = {}
-        for name, (span, kind) in _FIELDS.items():
-            raw = record[span[0] - 1:span[1]]
-            if not raw.strip():
-                raise CatalogParseError(f"blank {name} field", line_number,
-                                        span)
-            try:
-                values[name] = kind(raw.strip())
-            except ValueError:
-                raise CatalogParseError(f"non-numeric {name} field {raw!r}",
-                                        line_number, span) from None
-        try:
-            line = SpectralLine(**_si_fields(values))
-        except ValidationError as exc:
-            raise CatalogParseError(str(exc), line_number) from None
-        if ((values["gas_id"], values["iso_id"]) in wanted
-                and not values["intensity"] < intensity_floor):
-            lines.append(line)
+        species, raw_intensity, line = _parse_record(record, line_number)
+        if species not in wanted:
+            continue
+        if raw_intensity < intensity_floor:
+            continue
+        lines.append(line)
     return lines
 
 
@@ -266,8 +277,10 @@ def serialize_line(line: SpectralLine) -> str:
     record = [" "] * RECORD_WIDTH
 
     def put(span, text):
-        assert len(text) == span[1] - span[0] + 1
-        record[span[0] - 1:span[1]] = text
+        lo, hi = span
+        width = hi - lo + 1
+        assert len(text) == width
+        record[lo - 1:hi] = text
 
     put(_FIELDS["gas_id"][0], f"{line.gas_id:2d}")
     put(_FIELDS["iso_id"][0], f"{line.iso_id:1d}")
