@@ -65,8 +65,11 @@ class BandPlan:
                 [f"band edges must satisfy 0 <= f_lo < f_hi, got "
                  f"[{f_lo!r}, {f_hi!r}]"])
         b = f_hi - f_lo
-        delta = b / k
-        centers = f_lo + (np.arange(k) + 0.5) * delta
+        try:
+            centers = f_lo + (np.arange(k) + 0.5) * (b / k)
+        except (ValueError, MemoryError, ZeroDivisionError):
+            raise ValidationError(
+                [f"cannot split the band into {k!r} subbands"]) from None
         return cls(b=b, k=k, f_k=centers)
 
     @classmethod

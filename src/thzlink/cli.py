@@ -10,7 +10,8 @@ model-domain error (e.g. a two-ray null at the requested frequency).
 from __future__ import annotations
 
 import argparse
-import itertools
+import contextlib
+import os
 import re
 import sys
 from collections.abc import Iterator
@@ -24,6 +25,7 @@ from .capacity import (BandPlan, channel_capacity,
 from .config import CATALOG_ENV_VAR, load_scenario
 from .errors import (CatalogParseError, ChannelModelError, ConfigError,
                      DomainError, ValidationError)
+from .kernels import row_blocks
 from .propagation import link_budget_db, total_path_loss
 from .sweep import (Scenario, SweepResult, sweep_capacity_vs_distance,
                     sweep_capacity_vs_frequency, sweep_pathloss_vs_frequency,
@@ -35,9 +37,6 @@ AXIS_DEFAULTS = {
     "pressure": (20.0, 200.0),
     "distance": (1.0e-5, 1.0e-4),
 }
-
-# Sweep rows formatted at once: bounds the cells held before joining.
-RENDER_BLOCK_ROWS = 1 << 10
 
 
 class _Parser(argparse.ArgumentParser):
@@ -145,13 +144,18 @@ def _load_run_config(args) -> tuple[Scenario, float]:
 
 
 def _emit(text: str | Iterator[str], path: str | None):
-    """Write ``text``, or each of its blocks in turn, to ``path`` or stdout."""
+    """Write ``text``, or each of its blocks in turn, to ``path`` or stdout.
+    A file that cannot be written is a ConfigError."""
     blocks = [text] if isinstance(text, str) else text
     if path is None:
         sys.stdout.writelines(blocks)
-    else:
+        sys.stdout.flush()  # so a closed pipe raises here, not at exit
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.writelines(blocks)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc}") from exc
 
 
 def cmd_pathloss(args) -> int:
@@ -226,14 +230,14 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
     return values
 
 
-def _rows(result: SweepResult, spec: str) -> Iterator[tuple[str, ...]]:
+def _rows(result: SweepResult, spec: str) -> Iterator[list[tuple[str, ...]]]:
     """Header, then one row per axis value: gaps empty, reasons joined.
 
-    Rows are formatted a block at a time, one column at a time.
+    One list of rows per block of row_blocks, formatted column by column.
     """
-    yield (f"{result.axis}_{result.unit}", *result.columns, "gap")
-    for start in range(0, len(result.samples), RENDER_BLOCK_ROWS):
-        block = slice(start, start + RENDER_BLOCK_ROWS)
+    yield [(f"{result.axis}_{result.unit}", *result.columns, "gap")]
+    width = len(result.cells) + 2  # with the axis and the gap column
+    for block, _ in row_blocks(len(result.samples), width):
         cells = [(values[block].tolist(), reasons[block])
                  for values, reasons in result.cells.values()]
         columns = [[f"{x:{spec}}" for x in result.samples[block].tolist()]]
@@ -244,13 +248,12 @@ def _rows(result: SweepResult, spec: str) -> Iterator[tuple[str, ...]]:
         gapped = np.any([reasons != "" for _, reasons in cells], axis=0)
         for i in np.flatnonzero(gapped).tolist():
             gap[i] = ";".join(sorted({why[i] for _, why in cells} - {""}))
-        yield from zip(*columns, gap)
+        yield list(zip(*columns, gap))
 
 
 def csv_blocks(result: SweepResult) -> Iterator[str]:
-    """render_csv's text, in blocks of up to RENDER_BLOCK_ROWS lines."""
-    rows = _rows(result, ".12e")
-    while block := list(itertools.islice(rows, RENDER_BLOCK_ROWS)):
+    """render_csv's text, one block of _rows at a time."""
+    for block in _rows(result, ".12e"):
         yield "\n".join(",".join(r) for r in block) + "\n"
 
 
@@ -260,7 +263,7 @@ def render_csv(result: SweepResult) -> str:
 
 
 def render_table(result: SweepResult) -> str:
-    rows = list(_rows(result, ".6e"))
+    rows = [row for block in _rows(result, ".6e") for row in block]
     widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
     return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(r, widths))
                      for r in rows) + "\n"
@@ -313,6 +316,12 @@ def main(argv: list[str] | None = None) -> int:
     except ChannelModelError as exc:  # any other model failure
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # the reader closed stdout, as `| head` does
+        # send what is still buffered to /dev/null: flushing it to the
+        # closed pipe at exit would print the error again
+        with contextlib.suppress(OSError, ValueError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -62,13 +62,14 @@ def read_catalog(path: str | None = None) -> str:
     """Catalog text from the explicit path, $THZ_CATALOG, or the bundle."""
     if path is None:
         path = os.environ.get(CATALOG_ENV_VAR) or None
-    if path is None:
-        return read_bundled_catalog()
     try:
+        if path is None:
+            return read_bundled_catalog()
         with open(path, encoding="ascii") as handle:
             return handle.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read catalog {path!r}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        source = "the bundled catalog" if path is None else f"catalog {path!r}"
+        raise ConfigError(f"cannot read {source}: {exc}") from exc
 
 
 def read_scenario_doc(path: str | None) -> dict:
@@ -79,11 +80,46 @@ def read_scenario_doc(path: str | None) -> dict:
             doc = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read scenario {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
         raise ConfigError(f"scenario {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"scenario {path!r} must hold a JSON object")
     return doc
+
+
+# The JSON type of each value json.load returns, bool before its base int
+_JSON_TYPES = ((bool, "a boolean"), (int, "an integer"), (float, "a number"),
+               (str, "a string"), (dict, "an object"), (list, "an array"),
+               (type(None), "null"))
+
+
+def _json_type(value) -> str:
+    return next(name for kind, name in _JSON_TYPES if isinstance(value, kind))
+
+
+def _check_type(value, default, path: str) -> None:
+    """ConfigError naming ``path`` unless ``value`` has the JSON type of its
+    default: any number for a float, an integral one for an int, never a
+    bool, and numbers within float64. Objects are checked key by key and
+    arrays item by item, against the default's first item."""
+    want, got = _json_type(default), _json_type(value)
+    if {want, got} <= {"an integer", "a number"}:  # JSON has one number type
+        try:
+            got = "an integer" if float(value).is_integer() else "a number"
+        except OverflowError:
+            raise ConfigError(
+                f"scenario value {path} is outside float64") from None
+        if want == "a number":
+            return
+    if got != want:
+        raise ConfigError(f"scenario value {path} must be {want}, got {got}")
+    if isinstance(value, dict):
+        for key in value:
+            if key in default:
+                _check_type(value[key], default[key], f"{path}.{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _check_type(item, default[0], f"{path}[{i}]")
 
 
 def _merged(doc: dict) -> dict:
@@ -96,6 +132,7 @@ def _merged(doc: dict) -> dict:
     merged = {}
     for key, default in DEFAULT_SCENARIO.items():
         value = doc.get(key, default)
+        _check_type(value, default, key)
         if isinstance(default, dict) and key != "medium":
             extra = set(value) - set(default)
             if extra:

@@ -91,10 +91,20 @@ def _check_frequencies(freqs: np.ndarray, positive: bool = True) -> tuple:
     return lowest, highest
 
 
-# Most lines x points pairs evaluated at once. Every call is split over
-# rows and points into such blocks, which bounds its temporaries (64 KiB
-# each, so they stay in cache); no point's sum depends on another point.
-BLOCK_PAIRS = 1 << 13
+# Most cells evaluated at once: kernel lines x points, capacity rows x
+# subbands, rendered rows x columns. It bounds a block's temporaries (64 KiB
+# a float64 array, so they stay in cache); no row depends on another.
+BLOCK_CELLS = 1 << 13
+
+
+def row_blocks(n_rows: int, row_cells: int, *args):
+    """Row slices of at most BLOCK_CELLS cells (a longer row alone), with
+    ``args`` at those rows: a 2-D one is sliced, any other is shared."""
+    step = max(1, BLOCK_CELLS // row_cells)
+    for start in range(0, n_rows, step):
+        rows = slice(start, start + step)
+        yield rows, [x[rows] if np.ndim(x) == 2 else x for x in args]
+
 
 # A pole denominator (f - f_c)^2 + alpha^2 at least this large has a finite
 # reciprocal; below it the denominator is subnormal or 0, and its reciprocal
@@ -247,18 +257,17 @@ def kappa_totals(freqs, lines: LineArrays, t_s, p,
     if terms is None:
         return np.zeros(shape)
     f, g, *per_line = terms
-    if len(lines) * math.prod(shape) <= BLOCK_PAIRS:  # one block
+    if len(lines) * math.prod(shape) <= BLOCK_CELLS:  # one block
         return g * _weighted_poles(f, *per_line, cutoff).sum(axis=-1)
-    points = max(1, min(shape[-1], BLOCK_PAIRS // len(lines)))
-    rows = max(1, BLOCK_PAIRS // (len(lines) * points))
+    # a row longer than the budget is split into blocks of points
+    points = max(1, min(shape[-1], BLOCK_CELLS // len(lines)))
     out = np.empty(shape)
     by_row = out.reshape(-1, shape[-1])
-    for r in range(0, len(by_row), rows):
-        f, g, *per_line = (x[r:r + rows] if np.ndim(x) == 2 else x
-                           for x in terms)
+    for rows, (f, g, *per_line) in row_blocks(len(by_row),
+                                              len(lines) * points, *terms):
         for k in range(0, shape[-1], points):
             cols = slice(k, k + points)
-            by_row[r:r + rows, cols] = g[..., cols] * _weighted_poles(
+            by_row[rows, cols] = g[..., cols] * _weighted_poles(
                 f[..., cols], *per_line, cutoff).sum(axis=-1)
     return out
 

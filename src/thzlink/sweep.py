@@ -25,10 +25,6 @@ from .errors import DomainError, ValidationError
 from .propagation import LinkGeometry, _check_distance, path_loss_grid
 from .spectro import Medium
 
-# Rows x subbands cells that one block of a capacity grid evaluates at
-# once, which bounds its temporaries; the kernel blocks its own calls.
-GRID_BLOCK_CELLS = 1 << 12
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -169,18 +165,15 @@ def _capacity_cells(scenario: Scenario, medium: Medium, schemes, f_k, kappa,
     """Capacity [bits/s] of every row of a subband grid, per scheme.
 
     Each argument is shared by all rows (a scalar, or (K,) for ``f_k`` and
-    ``kappa``) or given per row ((R, 1), or (R, K)). Rows are evaluated in
-    blocks of at most GRID_BLOCK_CELLS cells; a row with a subband on a
+    ``kappa``) or given per row ((R, 1), or (R, K)). Rows are evaluated a
+    block at a time (kernels.row_blocks); a row with a subband on a
     two-ray null becomes a gap cell.
     """
     grid = (f_k, kappa, d, t_s, delta_f)
     n_rows = max(len(x) for x in grid if np.ndim(x) == 2)
     cells = {scheme: (np.full(n_rows, np.nan),
                       np.full(n_rows, "", dtype=object)) for scheme in schemes}
-    step = max(1, GRID_BLOCK_CELLS // np.shape(f_k)[-1])
-    for start in range(0, n_rows, step):
-        rows = slice(start, start + step)
-        block = [x[rows] if np.ndim(x) == 2 else x for x in grid]
+    for rows, block in kernels.row_blocks(n_rows, np.shape(f_k)[-1], *grid):
         psi, null = psi_grid(scenario.geom, medium.epsilon_r, *block)
         ok = ~null.any(axis=-1)
         psi = psi[ok]

@@ -3,7 +3,10 @@ import functools
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -11,9 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_grid_fixtures import gap_scenario, null_frequency
 
-from thzlink.cli import RENDER_BLOCK_ROWS, main, render_csv, render_table
-from thzlink.config import load_scenario
+import thzlink
+from thzlink import config
+from thzlink.cli import main, render_csv, render_table
+from thzlink.config import DEFAULT_SCENARIO, load_scenario
 from thzlink.constants import LIGHT_SPEED
+from thzlink.kernels import BLOCK_CELLS
 from thzlink.sweep import sweep_pathloss_vs_frequency, sweep_vs_temperature
 
 NULL_FREQUENCY = LIGHT_SPEED * 1.0e-4 / (2.0 * 2.0e-5 * 2.0e-5)
@@ -340,7 +346,8 @@ def test_streamed_csv_is_render_csv(capsys, tmp_path):
     """The sweep CSV is written block by block; over several blocks with
     gap rows, the --out bytes and stdout are render_csv's."""
     lo, hi = NULL_FREQUENCY, 2.0 * NULL_FREQUENCY  # both ends are nulls
-    n = 2 * RENDER_BLOCK_ROWS + 1
+    # four value columns, the axis and the gap: two whole blocks and a row
+    n = 2 * (BLOCK_CELLS // 6) + 1
     argv = ["sweep", "--axis", "frequency", "--from", repr(lo), "--to",
             repr(hi), "--points", str(n), "--distances", "1e-4,2e-4"]
     result = sweep_pathloss_vs_frequency(load_scenario(), (lo, hi), n,
@@ -490,6 +497,100 @@ def test_scenario_band_below_zero_exits_1(capsys, tmp_path):
     assert "band edges must satisfy" in err
 
 
+def one_error_line(code, out, err):
+    """Exit 1 with nothing on stdout and one `error:` line on stderr."""
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+class TestFileAndStreamErrors:
+    def test_missing_bundled_catalog(self, capsys, monkeypatch):
+        """An installed package without data/thz_lines.par."""
+        monkeypatch.delenv("THZ_CATALOG", raising=False)
+        monkeypatch.setattr(config, "BUNDLED_CATALOG", "no_such.par")
+        err = one_error_line(*run(capsys, "pathloss"))
+        assert "cannot read the bundled catalog" in err
+
+    def test_catalog_with_a_non_ascii_byte(self, capsys, tmp_path):
+        path = tmp_path / "latin1.par"
+        path.write_bytes(config.read_bundled_catalog().encode("ascii")
+                         + "caf\xe9\n".encode("latin-1"))
+        err = one_error_line(*run(capsys, "pathloss", "--catalog", str(path)))
+        assert "cannot read catalog" in err and "ascii" in err
+
+    def test_scenario_that_is_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(b'{"p_t": 1e-6, "x": "\xff"}')
+        err = one_error_line(*run(capsys, "pathloss", "--scenario",
+                                  str(path)))
+        assert "is not valid JSON" in err and "utf-8" in err
+
+    @pytest.mark.parametrize("name", ["missing/out.csv", "."],
+                             ids=["missing-directory", "a-directory"])
+    def test_out_that_cannot_be_written(self, capsys, tmp_path, name):
+        target = str(tmp_path / name)
+        err = one_error_line(*run(capsys, "sweep", "--axis", "distance",
+                                  "--points", "3", "--out", target))
+        assert f"cannot write {target!r}" in err
+
+    def test_stdout_closed_early_exits_1_quietly(self):
+        """`thzlink sweep ... | head -1`: the reader leaves after one line."""
+        src = os.path.dirname(os.path.dirname(thzlink.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        child = subprocess.Popen(
+            [sys.executable, "-c",
+             "import sys; from thzlink.cli import main; sys.exit(main())",
+             "sweep", "--axis", "frequency", "--points", "20000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert child.stdout.readline().startswith(b"frequency_Hz,")
+        child.stdout.close()  # far more than a pipe holds is still unwritten
+        err = child.stderr.read()
+        child.stderr.close()
+        assert (child.wait(timeout=120), err) == (1, b"")
+
+
+@pytest.mark.parametrize("doc, named", [
+    ({"p_t": "abc"}, "p_t must be a number, got a string"),
+    ({"geometry": {"d": "x"}}, "geometry.d must be a number"),
+    ({"band": 5}, "band must be an object, got an integer"),
+    ({"medium": 5}, "medium must be an object"),
+    ({"medium": {"epsilon_r": 1, "composition": 5}},
+     "medium.composition must be an array"),
+    ({"environment": {"t_s": None}}, "environment.t_s must be a number, "
+     "got null"),
+    ({"medium": {"epsilon_r": 1, "composition": [
+        {"gas_id": "a", "iso_id": 1, "q": 0.25}]}},
+     "medium.composition[0].gas_id must be an integer, got a string"),
+    ({"p_t": 10**400}, "p_t is outside float64"),
+    ({"band": {"subbands": 2.5}}, "band.subbands must be an integer, got "
+     "a number"),
+    ({"baseline": "no"}, "baseline must be a boolean, got a string"),
+    ({"medium": {"epsilon_r": True, "composition": []}},
+     "medium.epsilon_r must be a number, got a boolean"),
+    ({"band": {"subbands": 0}}, "cannot split the band into 0 subbands"),
+    ({"band": {"subbands": 10**20}}, "cannot split the band into "
+     "100000000000000000000 subbands")],
+    ids=["string-number", "string-section-number", "number-section",
+         "number-medium", "number-array", "null-number", "string-integer",
+         "huge-number", "fraction-integer", "string-boolean",
+         "boolean-number", "zero-subbands", "huge-subbands"])
+def test_scenario_value_of_the_wrong_type_exits_1(capsys, tmp_path, doc,
+                                                  named):
+    """Each value has the JSON type of its default; a mismatch is one error
+    line that names the key path."""
+    path = write_scenario(tmp_path, doc)
+    err = one_error_line(*run(capsys, "capacity", "--scenario", path))
+    assert named in err
+
+
+def test_integral_float_is_an_integer(capsys, tmp_path):
+    path = write_scenario(tmp_path, {"band": {"subbands": 64.0}})
+    assert run(capsys, "capacity", "--scenario", path) == \
+        run(capsys, "capacity")
+
+
 class TestCatalogResolution:
     def test_env_var_is_honored(self, capsys, monkeypatch):
         monkeypatch.setenv("THZ_CATALOG", "/no/such.par")
@@ -587,5 +688,45 @@ def test_exit_code_contract_holds_for_any_flags(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+
+
+def key_paths(default, path=()):
+    """Every key path below a DEFAULT_SCENARIO value, array items too."""
+    items = (default.items() if isinstance(default, dict)
+             else enumerate(default) if isinstance(default, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from key_paths(value, path + (key,))
+
+
+# a value of each JSON type, numbers outside float64 and non-integral ones
+WRONG_VALUES = st.one_of(
+    st.text(max_size=4), st.none(), st.booleans(),
+    st.lists(st.one_of(st.integers(-2, 2), st.text(max_size=2), st.none()),
+             max_size=3),
+    st.dictionaries(st.sampled_from(["d", "q", "gas_id", "t_s", "x"]),
+                    st.one_of(st.integers(-2, 2), st.none()), max_size=2),
+    st.integers(10**20, 10**400), st.integers(-10**400, -10**20),
+    st.floats().filter(lambda x: not x.is_integer()))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(list(key_paths(DEFAULT_SCENARIO))), WRONG_VALUES,
+       st.sampled_from(["pathloss", "capacity"]))
+def test_exit_code_contract_holds_for_any_scenario_value(tmp_path_factory,
+                                                         path, value,
+                                                         command):
+    """A scenario file with one value replaced by one of another JSON type
+    exits 0, 1 or 2, and no exception escapes main."""
+    doc = json.loads(json.dumps(DEFAULT_SCENARIO))
+    parent = functools.reduce(lambda node, key: node[key], path[:-1], doc)
+    parent[path[-1]] = value
+    scenario = tmp_path_factory.getbasetemp() / "fuzzed_scenario.json"
+    scenario.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, "--scenario", str(scenario)])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()

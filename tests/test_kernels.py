@@ -125,7 +125,7 @@ def test_cold_grid_over_too_many_decades_is_a_domain_error(default_medium):
 
 def test_blocks_cover_every_row(default_medium, env):
     lines = default_medium.packed
-    n_rows = 5 * kernels.BLOCK_PAIRS // (len(lines) * 64) + 3
+    n_rows = 5 * kernels.BLOCK_CELLS // (len(lines) * 64) + 3
     temps = np.linspace(250.0, 400.0, n_rows)
     freqs = np.linspace(1.0e12, 1.1e12, 64)
     grid = kernels.kappa_totals(freqs, lines, temps, env.p)
@@ -134,20 +134,37 @@ def test_blocks_cover_every_row(default_medium, env):
             freqs, lines, float(temps[row]), env.p))
 
 
+def test_row_blocks_tile_the_rows_within_the_budget():
+    """Every row once, in order, in blocks of at most BLOCK_CELLS cells
+    unless one row alone is longer; 2-D arguments are sliced at the
+    block's rows and any other is passed whole."""
+    per_row, shared = np.arange(20.0).reshape(10, 2), np.arange(3.0)
+    for row_cells in (1, kernels.BLOCK_CELLS // 3, kernels.BLOCK_CELLS + 1):
+        blocks = list(kernels.row_blocks(10, row_cells, per_row, shared, 5.0))
+        assert [i for rows, _ in blocks
+                for i in range(10)[rows]] == list(range(10))
+        for rows, (x, y, z) in blocks:
+            n = len(range(10)[rows])
+            assert n * row_cells <= kernels.BLOCK_CELLS or n == 1
+            assert np.array_equal(x, per_row[rows])
+            assert y is shared and z == 5.0
+    assert len(blocks) == 10
+
+
 def test_one_row_is_split_by_the_pair_budget(default_medium, env):
-    """A row with more pairs than BLOCK_PAIRS is evaluated in blocks of
+    """A row with more pairs than BLOCK_CELLS is evaluated in blocks of
     points, so its temporaries stay bounded; each point's sum is its own."""
     lines = default_medium.packed
     freqs = np.linspace(0.5e12, 3.5e12,
-                        20 * kernels.BLOCK_PAIRS // len(lines) + 7)
+                        20 * kernels.BLOCK_CELLS // len(lines) + 7)
     tracemalloc.start()
     row = kernels.kappa_totals(freqs, lines, env.t_s, env.p, 5.0e12)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     # a few per-point arrays plus a few block temporaries, in bytes; one
     # lines x points temporary alone would be 20 blocks
-    assert peak < 8 * (8 * freqs.size + 8 * kernels.BLOCK_PAIRS)
-    step = kernels.BLOCK_PAIRS // len(lines)
+    assert peak < 8 * (8 * freqs.size + 8 * kernels.BLOCK_CELLS)
+    step = kernels.BLOCK_CELLS // len(lines)
     for k in (0, step - 1, step, freqs.size - 1):
         assert row[k] == pytest.approx(kernels.kappa_totals(
             freqs[k:k + 1], lines, env.t_s, env.p, 5.0e12)[0], rel=1e-14)

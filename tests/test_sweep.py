@@ -15,8 +15,7 @@ from thzlink.errors import DomainError, TwoRayNullError, ValidationError
 from thzlink.propagation import (LinkGeometry, dielectric_path_loss,
                                  total_path_loss, two_ray_grid)
 from thzlink.spectro import Medium, SpectralLine
-from thzlink.sweep import (GRID_BLOCK_CELLS, Scenario,
-                           sweep_capacity_vs_distance,
+from thzlink.sweep import (Scenario, sweep_capacity_vs_distance,
                            sweep_capacity_vs_frequency,
                            sweep_pathloss_vs_frequency, sweep_vs_pressure,
                            sweep_vs_temperature)
@@ -245,7 +244,7 @@ def test_all_opaque_capacity_row_aborts_the_sweep(default_scenario):
 
 
 def test_rows_span_several_grid_blocks(default_scenario):
-    n = 3 * GRID_BLOCK_CELLS // default_scenario.band.k + 5
+    n = 3 * kernels.BLOCK_CELLS // default_scenario.band.k + 5
     result = sweep_capacity_vs_distance(default_scenario, (1.0e-5, 1.0e-4),
                                         n, allocation="waterfilling")
     for d, row in result.points[::97]:
