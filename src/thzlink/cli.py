@@ -14,6 +14,7 @@ import contextlib
 import os
 import re
 import sys
+import warnings
 from collections.abc import Iterator
 from dataclasses import replace
 
@@ -230,31 +231,110 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
     return values
 
 
-def _rows(result: SweepResult, spec: str) -> Iterator[list[tuple[str, ...]]]:
-    """Header, then one row per axis value: gaps empty, reasons joined.
+def _header(result: SweepResult) -> tuple[str, ...]:
+    return (f"{result.axis}_{result.unit}", *result.columns, "gap")
 
-    One list of rows per block of row_blocks, formatted column by column.
-    """
-    yield [(f"{result.axis}_{result.unit}", *result.columns, "gap")]
-    width = len(result.cells) + 2  # with the axis and the gap column
-    for block, _ in row_blocks(len(result.samples), width):
-        cells = [(values[block].tolist(), reasons[block])
-                 for values, reasons in result.cells.values()]
-        columns = [[f"{x:{spec}}" for x in result.samples[block].tolist()]]
-        columns += [["" if why else f"{value:{spec}}"
-                     for value, why in zip(values, reasons)]
-                    for values, reasons in cells]
-        gap = [""] * len(columns[0])
-        gapped = np.any([reasons != "" for _, reasons in cells], axis=0)
-        for i in np.flatnonzero(gapped).tolist():
-            gap[i] = ";".join(sorted({why[i] for _, why in cells} - {""}))
-        yield list(zip(*columns, gap))
+
+def _cell_rows(result: SweepResult, spec: str, rows) -> list[tuple[str, ...]]:
+    """Body rows ``rows`` (a slice or indices), one string per cell: gaps
+    empty, the gap column their reasons sorted and joined with ';'."""
+    cells = [(values[rows].tolist(), reasons[rows])
+             for values, reasons in result.cells.values()]
+    columns = [[f"{x:{spec}}" for x in result.samples[rows].tolist()]]
+    columns += [["" if why else f"{value:{spec}}"
+                 for value, why in zip(values, reasons)]
+                for values, reasons in cells]
+    gap = [""] * len(columns[0])
+    gapped = np.any([reasons != "" for _, reasons in cells], axis=0)
+    for i in np.flatnonzero(gapped).tolist():
+        gap[i] = ";".join(sorted({why[i] for _, why in cells} - {""}))
+    return list(zip(*columns, gap))
+
+
+# 10^0 .. 10^22, each exact in float64
+_POW10 = np.array([float(10**k) for k in range(23)])
+# two ASCII characters per uint16, in the byte order of a uint8 view
+_PAIRS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(),
+                       np.uint16)
+_LEAD = np.frombuffer(b"0.1.2.3.4.5.6.7.8.9.", np.uint16)
+_EXP_SIGN = np.frombuffer(b"e+e-", np.uint16)
+_CELL = 18  # len("d.dddddddddddde+XX")
+
+
+def _e12_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``format(v, ".12e")`` of each v in ``x`` as _CELL bytes, shape
+    x.shape + (_CELL,), and a mask of the cells that hold it exactly.
+
+    For v > 0 with e = floor(log10 v) and k = 12 - e, |k| <= 22 makes 10^|k|
+    exact, so m = v 10^k takes one rounding; m < 2^53 and ulp(m) <= 2^-9,
+    so every half-integer near m is a float64, and by monotone rounding
+    rint(m) is the integer nearest the exact v 10^k unless m is itself a
+    half-integer. Those 13 digits are what the correctly rounded format
+    prints. A cell is declined (mask False, bytes meaningless) for v <= 0,
+    NaN or inf, |k| > 22, m outside [10^12, 10^13) or a tie."""
+    ok = (x > 0) & (x < np.inf)
+    x = np.where(ok, x, 1.0)
+    e = np.floor(np.log10(x))
+    k = 12.0 - e
+    ok &= np.abs(k) <= 22
+    k = np.clip(k, -22, 22).astype(np.intp)
+    # one of the two factors is 1.0, so this is one rounding
+    m = x * _POW10[np.maximum(k, 0)] / _POW10[np.maximum(-k, 0)]
+    n = np.rint(m)
+    ok &= (m >= 1e12) & (m < 1e13) & (np.abs(m - n) != 0.5)
+    carry = n == 1e13  # m in [10^13 - 0.5, 10^13): 1.000000000000e+(e+1)
+    n[carry] = 1e12
+    e += carry
+    # every digit and exponent of a declined cell indexes the tables safely
+    n = np.where(ok, n, 1e12).astype(np.int64)
+    e = np.where(ok, e, 0.0).astype(np.intp)
+    out = np.empty(x.shape + (_CELL // 2,), np.uint16)
+    # the leading digit, then each pair as n // 10^i less 100 times the
+    # digits before it: integer floor division is exact, and numpy's is
+    # several times faster than its remainder
+    ahead = n // 10**12
+    out[..., 0] = _LEAD[ahead]
+    for j, unit in enumerate((10**10, 10**8, 10**6, 10**4, 10**2), 1):
+        digits = n // unit
+        out[..., j] = _PAIRS[digits - ahead * 100]
+        ahead = digits
+    out[..., 6] = _PAIRS[n - ahead * 100]
+    out[..., 7] = _EXP_SIGN[(e < 0).view(np.uint8)]
+    out[..., 8] = _PAIRS[np.abs(e)]
+    return out.view(np.uint8), ok
 
 
 def csv_blocks(result: SweepResult) -> Iterator[str]:
-    """render_csv's text, one block of _rows at a time."""
-    for block in _rows(result, ".12e"):
-        yield "\n".join(",".join(r) for r in block) + "\n"
+    """render_csv's text: the header, then one block of row_blocks rows at
+    a time. A block's cells are formatted together into one byte matrix,
+    each followed by a ',' (the last opens the empty gap column), and
+    decoded once; rows with a gap or a cell _e12_cells declines are then
+    replaced by _cell_rows'."""
+    yield ",".join(_header(result)) + "\n"
+    columns = [result.samples, *(values for values, _ in
+                                 result.cells.values())]
+    n_cols = len(columns)
+    width = n_cols * (_CELL + 1) + 1  # characters in a row, with its '\n'
+    for block, _ in row_blocks(len(result.samples), n_cols + 1):
+        cells, ok = _e12_cells(np.stack([c[block] for c in columns], axis=1))
+        n_rows = len(cells)
+        matrix = np.empty((n_rows, width), np.uint8)
+        row_cells = matrix[:, :-1].reshape(n_rows, n_cols, _CELL + 1)
+        row_cells[..., :_CELL] = cells
+        row_cells[..., _CELL] = ord(",")
+        matrix[:, -1] = ord("\n")
+        text = str(matrix.data, "ascii")
+        gapped = [reasons[block] != "" for _, reasons in result.cells.values()]
+        redo = np.flatnonzero(~ok.all(axis=1) | np.any(gapped, axis=0))
+        if redo.size:
+            pieces, start = [], 0
+            rows = _cell_rows(result, ".12e", block.start + redo)
+            for i, row in zip(redo.tolist(), rows):
+                pieces += [text[start:i * width], ",".join(row), "\n"]
+                start = (i + 1) * width
+            pieces.append(text[start:])
+            text = "".join(pieces)
+        yield text
 
 
 def render_csv(result: SweepResult) -> str:
@@ -263,7 +343,9 @@ def render_csv(result: SweepResult) -> str:
 
 
 def render_table(result: SweepResult) -> str:
-    rows = [row for block in _rows(result, ".6e") for row in block]
+    rows = [_header(result)]
+    for block, _ in row_blocks(len(result.samples), len(result.cells) + 2):
+        rows += _cell_rows(result, ".6e", block)
     widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
     return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(r, widths))
                      for r in rows) + "\n"
@@ -302,26 +384,33 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _warning_line(message, *_) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-        return args.func(args)
-    except (ConfigError, CatalogParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DomainError as exc:
-        print(f"model error: {exc}", file=sys.stderr)
-        return 2
-    except ChannelModelError as exc:  # any other model failure
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BrokenPipeError:  # the reader closed stdout, as `| head` does
-        # send what is still buffered to /dev/null: flushing it to the
-        # closed pipe at exit would print the error again
-        with contextlib.suppress(OSError, ValueError):
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
+    with warnings.catch_warnings():
+        # one stderr line, as an error is, without the source line
+        warnings.showwarning = _warning_line
+        try:
+            args = parser.parse_args(argv)
+            return args.func(args)
+        except (ConfigError, CatalogParseError, ValidationError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except DomainError as exc:
+            print(f"model error: {exc}", file=sys.stderr)
+            return 2
+        except ChannelModelError as exc:  # any other model failure
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except BrokenPipeError:  # the reader closed stdout, as `| head` does
+            # send what is still buffered to /dev/null: flushing it to the
+            # closed pipe at exit would print the error again
+            with contextlib.suppress(OSError, ValueError):
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
 
 
 if __name__ == "__main__":

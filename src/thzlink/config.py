@@ -133,15 +133,15 @@ def _merged(doc: dict) -> dict:
     for key, default in DEFAULT_SCENARIO.items():
         value = doc.get(key, default)
         _check_type(value, default, key)
-        if isinstance(default, dict) and key != "medium":
-            extra = set(value) - set(default)
-            if extra:
-                raise ConfigError(
-                    f"unknown keys {sorted(extra)} in scenario section "
-                    f"{key!r}")
-            merged[key] = {**default, **value}
-        else:
+        if not isinstance(default, dict):
             merged[key] = value
+            continue
+        extra = set(value) - set(default)
+        if extra:
+            raise ConfigError(
+                f"unknown keys {sorted(extra)} in scenario section {key!r}")
+        # a medium replaces the default's whole, composition included
+        merged[key] = value if key == "medium" else {**default, **value}
     return merged
 
 

@@ -8,7 +8,8 @@ per line. The per-line factors depend only on the temperature and
 pressure: a scalar condition's are derived and checked once and kept on
 the LineArrays, so repeated calls at one condition reuse them; the
 per-point factors are computed once per call. A lines x points pair costs
-the two poles, the cutoff test and a weighted sum.
+the two poles, the cutoff test (skipped when no pair is farther apart than
+the cutoff) and a weighted sum.
 """
 
 from __future__ import annotations
@@ -118,9 +119,10 @@ def _at(condition, row: int) -> float:
 
 
 def _derive_line_state(lines: LineArrays, t_s, p):
-    """Per line f_c, alpha^2 and w, a = h/2kT, and whether any alpha^2 is
-    below the smallest normal float64, at numpy-scalar or per-row (R, 1)
-    conditions. Raises for a resonance <= 0 or a weight outside float64."""
+    """Per line f_c, alpha^2 and w, a = h/2kT, whether any alpha^2 is below
+    the smallest normal float64, and the lowest and highest f_c, at
+    numpy-scalar or per-row (R, 1) conditions. Raises for a resonance <= 0
+    or a weight outside float64."""
     # every factor is checked below, NaN and inf included
     with np.errstate(all="ignore"):
         f_c, alpha = _line_center_and_width(lines, lines.q, t_s, p)
@@ -145,7 +147,8 @@ def _derive_line_state(lines: LineArrays, t_s, p):
         raise DomainError(
             f"temperature {_at(t_s, row)!r} K at pressure {_at(p, row)!r} atm "
             f"puts the line widths or weights outside float64")
-    return f_c, alpha2, weight, a, bool(alpha2.min() < _TINY)
+    return (f_c, alpha2, weight, a, bool(alpha2.min() < _TINY),
+            f_c.item(nearest), f_c.item(f_c.argmax()))
 
 
 def _kept_line_state(lines: LineArrays, t_s, p):
@@ -164,10 +167,11 @@ def _kept_line_state(lines: LineArrays, t_s, p):
     return state
 
 
-def _factors(freqs, lines: LineArrays, t_s, p):
+def _factors(freqs, lines: LineArrays, t_s, p, cutoff: float):
     """A call's result shape and, with lines and points, its factors: per
     point f and g, per line f_c, alpha^2, w and whether an alpha^2
-    underflowed. Raises as kappa_totals."""
+    underflowed, and the cutoff, inf where it cannot mask any pair. Raises
+    as kappa_totals."""
     freqs = np.asarray(freqs, dtype=np.float64)
     # per-row conditions become (R, 1) columns; scalars become numpy's, whose
     # division by an underflowed 0 gives inf, as an array's does, not an error
@@ -179,8 +183,12 @@ def _factors(freqs, lines: LineArrays, t_s, p):
         return shape, None
     lowest, highest = _check_frequencies(freqs)
     # per-row conditions (the temperature and pressure sweeps) are not kept
-    f_c, alpha2, weight, a, narrow = (
+    f_c, alpha2, weight, a, narrow, f_c_lo, f_c_hi = (
         _derive_line_state if per_row else _kept_line_state)(lines, t_s, p)
+    # fl(f - f_c) is monotone in f and f_c, so no pair's |f - f_c| exceeds
+    # these two; within the cutoff it masks nothing (a NaN keeps the mask)
+    if highest - f_c_lo <= cutoff and f_c_hi - lowest <= cutoff:
+        cutoff = np.inf
     # 0 < tanh(a f) <= 1, so f^2 tanh(a f) overflows where f^2 does, and
     # its smallest value shows whether any underflowed to 0
     outside = "frequency {!r} Hz puts f^2 tanh(a f) outside float64"
@@ -201,7 +209,7 @@ def _factors(freqs, lines: LineArrays, t_s, p):
             float(np.broadcast_to(freqs, g.shape).flat[smallest])))
     if f_c.shape != weight.shape:  # per-row t_s at one p; broadcast_to is slow
         f_c = np.broadcast_to(f_c, weight.shape)
-    return shape, (freqs, g, f_c, alpha2, weight, narrow)
+    return shape, (freqs, g, f_c, alpha2, weight, narrow, cutoff)
 
 
 def _weighted_poles(f, f_c, alpha2, weight, narrow, cutoff) -> np.ndarray:
@@ -253,12 +261,12 @@ def kappa_totals(freqs, lines: LineArrays, t_s, p,
     squared underflows float64, raises DomainError. A scalar (t_s, p)'s
     per-line factors are kept on ``lines`` and reused while it repeats.
     """
-    shape, terms = _factors(freqs, lines, t_s, p)
+    shape, terms = _factors(freqs, lines, t_s, p, cutoff)
     if terms is None:
         return np.zeros(shape)
     f, g, *per_line = terms
     if len(lines) * math.prod(shape) <= BLOCK_CELLS:  # one block
-        return g * _weighted_poles(f, *per_line, cutoff).sum(axis=-1)
+        return g * _weighted_poles(f, *per_line).sum(axis=-1)
     # a row longer than the budget is split into blocks of points
     points = max(1, min(shape[-1], BLOCK_CELLS // len(lines)))
     out = np.empty(shape)
@@ -268,7 +276,7 @@ def kappa_totals(freqs, lines: LineArrays, t_s, p,
         for k in range(0, shape[-1], points):
             cols = slice(k, k + points)
             by_row[rows, cols] = g[..., cols] * _weighted_poles(
-                f[..., cols], *per_line, cutoff).sum(axis=-1)
+                f[..., cols], *per_line).sum(axis=-1)
     return out
 
 
@@ -276,11 +284,11 @@ def line_contributions(freqs, lines: LineArrays, t_s, p,
                        cutoff: float = np.inf) -> np.ndarray:
     """Each line's kappa [1/m] at each point: (lines, K) for one row, else
     (R, lines, K). As kappa_totals, but in one block, for a few points."""
-    shape, terms = _factors(freqs, lines, t_s, p)
+    shape, terms = _factors(freqs, lines, t_s, p, cutoff)
     if terms is None:
         return np.zeros(shape[:-1] + (len(lines),) + shape[-1:])
     f, g, *per_line = terms
-    return np.swapaxes(g[..., None] * _weighted_poles(f, *per_line, cutoff),
+    return np.swapaxes(g[..., None] * _weighted_poles(f, *per_line),
                        -1, -2)
 
 

@@ -357,8 +357,8 @@ def load_medium(config_doc: dict, catalog: list[SpectralLine]) -> Medium:
     """Build a Medium from a parsed config document and a parsed catalog.
 
     The document must carry ``epsilon_r`` (number) and ``composition``
-    (array of {gas_id, iso_id, q}). Catalog lines are filtered down to the
-    species named in the composition.
+    (array of {gas_id, iso_id, q}, with no other keys). Catalog lines are
+    filtered down to the species named in the composition.
 
     Raises:
         ValidationError: listing every violation found, both structural
@@ -374,10 +374,15 @@ def load_medium(config_doc: dict, catalog: list[SpectralLine]) -> Medium:
 
     composition: dict[tuple[int, int], float] = {}
     for i, entry in enumerate(config_doc["composition"]):
-        missing = {"gas_id", "iso_id", "q"} - set(entry)
+        fields = {"gas_id", "iso_id", "q"}
+        unknown, missing = set(entry) - fields, fields - set(entry)
+        if unknown:
+            problems.append(
+                f"composition[{i}] has unknown keys {sorted(unknown)}")
         if missing:
             problems.append(
                 f"composition[{i}] missing keys {sorted(missing)}")
+        if unknown or missing:
             continue
         species = (int(entry["gas_id"]), int(entry["iso_id"]))
         if species in composition:

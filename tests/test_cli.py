@@ -8,19 +8,22 @@ import re
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_grid_fixtures import gap_scenario, null_frequency
 
 import thzlink
 from thzlink import config
-from thzlink.cli import main, render_csv, render_table
+from thzlink.cli import _e12_cells, main, render_csv, render_table
 from thzlink.config import DEFAULT_SCENARIO, load_scenario
 from thzlink.constants import LIGHT_SPEED
 from thzlink.kernels import BLOCK_CELLS
-from thzlink.sweep import sweep_pathloss_vs_frequency, sweep_vs_temperature
+from thzlink.sweep import (SweepResult, sweep_pathloss_vs_frequency,
+                           sweep_vs_temperature)
 
 NULL_FREQUENCY = LIGHT_SPEED * 1.0e-4 / (2.0 * 2.0e-5 * 2.0e-5)
 
@@ -362,6 +365,95 @@ def test_streamed_csv_is_render_csv(capsys, tmp_path):
     assert run(capsys, *argv) == (0, expected, "")
 
 
+def one_column_result(samples, values, reasons=None):
+    samples = np.asarray(samples, dtype=np.float64)
+    if reasons is None:
+        reasons = [""] * len(samples)
+    return SweepResult("frequency", "Hz", samples, {
+        "v": (np.asarray(values, dtype=np.float64),
+              np.array(reasons, dtype=object))})
+
+
+def exact_decimal_float(digits: int, exponent: int) -> float:
+    """The float64 nearest digits * 10**exponent."""
+    return float(Fraction(digits) * Fraction(10) ** exponent)
+
+
+def adversarial_cells() -> list[float]:
+    """Floats where a 13-digit %.12e is hardest to get right: constructed
+    ties (n + 0.5) 10^(e-12) and their neighbours, a power of ten and its
+    neighbours, m just below 10^13 (the carry into the exponent), 3-digit
+    exponents, negatives, signed zeros, subnormals, inf and NaN."""
+    cells = []
+    for e in (-12, -5, -1, 0, 1, 2, 7, 12, 13, 14, 15, 22, 34):
+        for n in (10**12, 1234567890123, 5 * 10**12, 10**13 - 1):
+            tie = exact_decimal_float(2 * n + 1, e - 12) / 2
+            cells += [math.nextafter(tie, -math.inf), tie,
+                      math.nextafter(tie, math.inf)]
+        below = exact_decimal_float(99999999999995, e - 13)
+        cells += [math.nextafter(below, 0.0), below,
+                  math.nextafter(below, math.inf)]
+    for p in range(-25, 36):
+        power = exact_decimal_float(1, p)
+        cells += [math.nextafter(power, 0.0), power,
+                  math.nextafter(power, math.inf)]
+    cells += [1e100, 9.9999999999995e99, 2.5e-150, 1.7976931348623157e308,
+              5e-324, 2.2250738585072014e-308, 1.5e-310, 0.0, -0.0,
+              -1.5, -2.0000000000005e12, math.inf, -math.inf, math.nan]
+    return cells
+
+
+def test_cell_formatter_is_exact_where_it_accepts():
+    """_e12_cells' accepted cells are format(x, ".12e") byte for byte; it
+    declines exact ties, 3-digit exponents and values that are not > 0."""
+    xs = np.array(adversarial_cells())
+    cells, ok = _e12_cells(xs)
+    for x, cell, accepted in zip(xs.tolist(), cells, ok.tolist()):
+        if accepted:
+            assert cell.tobytes().decode("ascii") == format(x, ".12e")
+    # sweep-like cells, a power of ten and a carry into the exponent
+    carry = math.nextafter(9999999999999.5, math.inf)
+    cells, ok = _e12_cells(np.array([1.5e12, 28.28853622645, 1e-5, carry]))
+    assert ok.all()
+    assert cells[3].tobytes() == b"1.000000000000e+13"
+    _, ok = _e12_cells(np.array([1000000000000.5, 2000000000000.5, 1e100,
+                                 -1.5, 0.0, math.inf, math.nan]))
+    assert not ok.any()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.one_of(st.floats(), st.floats(1e-10, 1e34)),
+                min_size=1, max_size=40))
+@example(adversarial_cells())
+def test_csv_cells_are_format_12e_for_any_float(xs):
+    """Through render_csv, the fast cells and the per-row fallback together
+    print every float64 as format(x, ".12e")."""
+    result = one_column_result(xs, xs[::-1])
+    text = render_csv(result)
+    assert text == reference_csv(result)
+    for line, x in zip(text.splitlines()[1:], xs):
+        assert line.split(",")[0] == format(x, ".12e")
+
+
+def test_csv_block_with_every_fallback_case_matches_reference():
+    """One block holds a negative value, a 3-digit exponent, a tie and gap
+    rows at both of its ends among fast rows."""
+    n = 50
+    samples = np.linspace(1.0e12, 3.0e12, n)
+    values = np.linspace(20.0, 80.0, n)
+    values[7], values[19], values[31] = -3.5, 1.25e150, 1000000000000.5
+    reasons = [""] * n
+    reasons[0], reasons[-1] = "two-ray-null", "opaque"
+    result = one_column_result(samples, values, reasons)
+    text = render_csv(result)
+    assert text == reference_csv(result)
+    lines = text.splitlines()
+    assert lines[1].endswith(",,two-ray-null")
+    assert lines[-1].endswith(",,opaque")
+    assert [lines[i + 1].split(",")[1] for i in (7, 19, 31)] == [
+        "-3.500000000000e+00", "1.250000000000e+150", "1.000000000000e+12"]
+
+
 @pytest.mark.parametrize("argv", [
     ("capacity", "--frequency", "1e10"),
     ("capacity", "--frequency=-1e12"),
@@ -629,6 +721,30 @@ class TestOverrides:
         code, _, err = run(capsys, "pathloss", "--scenario", path)
         assert code == 1
         assert "unknown scenario keys" in err
+
+    @pytest.mark.parametrize("medium, named", [
+        ({"epsilon_r": 1, "composition": [], "zz": 1},
+         "unknown keys ['zz'] in scenario section 'medium'"),
+        ({"epsilon_r": 1, "composition": [
+            {"gas_id": 1, "iso_id": 1, "q": 0.25, "x": 1}]},
+         "composition[0] has unknown keys ['x']")],
+        ids=["medium", "composition-entry"])
+    def test_unknown_medium_key_is_one_error_line(self, capsys, tmp_path,
+                                                  medium, named):
+        path = write_scenario(tmp_path, {"medium": medium})
+        code, out, err = run(capsys, "pathloss", "--scenario", path)
+        assert (code, out) == (1, "")
+        assert err == f"error: {named}\n"
+
+    def test_species_missing_from_catalog_is_one_warning_line(self, capsys,
+                                                              tmp_path):
+        path = write_scenario(tmp_path, {"medium": {
+            "epsilon_r": 1, "composition": [
+                {"gas_id": 3, "iso_id": 1, "q": 0.01}]}})
+        code, out, err = run(capsys, "pathloss", "--scenario", path)
+        assert code == 0
+        assert out.startswith("frequency ")
+        assert err == "warning: no catalog records for species (3, 1)\n"
 
 
 # Values every numeric flag may take, then each flag's typical values.

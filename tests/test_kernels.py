@@ -47,6 +47,30 @@ def test_wing_cutoff_skips_far_lines(default_medium, env):
     assert scalar == 0.0
 
 
+@pytest.mark.parametrize("per_row", [False, True], ids=["scalar", "rows"])
+def test_cutoff_at_the_widest_pair_masks_exactly_that_pair(default_medium,
+                                                           env, per_row):
+    """The mask is skipped only when no pair can exceed the cutoff: at the
+    widest pair's distance nothing is masked, one float below it that pair
+    (and no other) is, in one row or per row."""
+    lines = default_medium.packed
+    freqs = np.linspace(0.9e12, 1.6e12, 37)
+    t_s = np.full(2, env.t_s) if per_row else env.t_s
+    free = kernels.line_contributions(freqs, lines, t_s, env.p)
+    f_c = lines.f_c0 + lines.pressure_shift * env.p  # P_REF is 1 atm
+    distance = np.abs(freqs[None, :] - f_c[:, None])
+    widest = distance.max()
+    totals = kernels.kappa_totals(freqs, lines, t_s, env.p)
+    for cutoff, masked in ((widest, 0), (np.nextafter(widest, 0.0), 1)):
+        want = np.where(distance > cutoff, 0.0, free)
+        got = kernels.line_contributions(freqs, lines, t_s, env.p, cutoff)
+        assert np.array_equal(got, want)
+        assert (got != free).sum() == masked * np.size(t_s)
+        changed = kernels.kappa_totals(freqs, lines, t_s, env.p,
+                                       cutoff) != totals
+        assert changed.sum() == masked * np.size(t_s)
+
+
 def test_empty_medium_gives_zeros(env):
     medium = Medium(composition={}, epsilon_r=1.0)
     freqs = np.linspace(1e12, 2e12, 11)
