@@ -186,7 +186,9 @@ def psi_grid(geom: LinkGeometry, epsilon_r: float, f_k, kappa, d, t_s,
     with np.errstate(over="ignore"):
         bracket = t_s + (t_s + T_REF) * np.expm1(kappa * d)
         psi = BOLTZMANN * l_d * delta_f * bracket
-    return psi, np.broadcast_to(null, psi.shape)
+    if null.shape != psi.shape:  # rows that share f_k and d share its nulls
+        null = np.broadcast_to(null, psi.shape)
+    return psi, null
 
 
 def psi_coefficients(geom: LinkGeometry, medium: Medium, env: Environment,
@@ -204,8 +206,8 @@ def psi_coefficients(geom: LinkGeometry, medium: Medium, env: Environment,
     kappa = kappa_over_grid(medium, band.f_k, env)
     psi, null = psi_grid(geom, medium.epsilon_r, band.f_k, kappa, d,
                          env.t_s, band.delta_f)
-    if null.any():
-        k_index = int(null.argmax())
+    k_index = int(null.argmax())  # the first null subband, if any
+    if null[k_index]:
         f = float(band.f_k[k_index])
         raise TwoRayNullError(two_ray_argument(geom, f, medium.epsilon_r, d),
                               frequency=f, subband=k_index)
@@ -230,19 +232,22 @@ def water_filling_grid(psi, p_t: float) -> tuple[np.ndarray, np.ndarray]:
     budget yields all-zero allocations with each level at the row's
     lowest floor. Raises DomainError for a budget that is negative or not
     finite, a floor that is not > 0, or a row that funds no subband: its
-    floors are all infinite, or so large that the budget rounds away.
+    floors are all infinite, or so large that the budget rounds away or
+    that their sum overflows float64.
     """
     psi = np.asarray(psi, dtype=np.float64)
-    if not np.all(psi > 0):
+    if not (psi > 0).all():
         raise DomainError("every psi entry must be > 0")
     _check_budget(p_t)
     if p_t == 0:
         return np.zeros_like(psi), psi.min(axis=-1)
     psi_sorted = np.sort(psi, axis=-1)
     m = np.arange(1, psi.shape[-1] + 1)
-    with np.errstate(invalid="ignore"):
-        theta_by_m = (p_t + np.cumsum(psi_sorted, axis=-1)) / m
-    feasible = theta_by_m > psi_sorted
+    # finite floors whose sum overflows float64 set no level: such an m is
+    # not feasible (infinite floors are never funded, overflow or not)
+    with np.errstate(over="ignore"):
+        theta_by_m = (p_t + psi_sorted.cumsum(axis=-1)) / m
+    feasible = (theta_by_m > psi_sorted) & (theta_by_m < np.inf)
     funds = feasible.any(axis=-1)
     if not funds.all():
         lowest = float(psi_sorted[..., 0][~funds].flat[0])
@@ -256,9 +261,11 @@ def water_filling_grid(psi, p_t: float) -> tuple[np.ndarray, np.ndarray]:
     # The level is recomputed from a pairwise sum (np.sum) of the funded
     # floors: the sequential rounding of the cumsum shows when the budget
     # is far below the floors, since p_k = theta - psi_k then cancels.
+    counts = set(m_star.tolist())
     funded = np.empty(m_star.shape)
-    for count in set(m_star.tolist()):
-        rows = m_star == count
+    for count in counts:
+        # one count (always so for one row) covers every row: no mask
+        rows = m_star == count if len(counts) > 1 else ...
         funded[rows] = psi_sorted[rows, :count].sum(axis=-1)
     theta = (p_t + funded) / m_star
     return np.maximum(theta[..., None] - psi, 0.0), theta
@@ -272,7 +279,7 @@ def allocation_capacity_grid(p_k, psi, delta_f) -> np.ndarray:
     p_k = np.asarray(p_k, dtype=np.float64)
     funded = p_k > 0
     ratio = np.divide(p_k, psi, out=np.zeros(funded.shape), where=funded)
-    return delta_f * np.sum(np.log2(1.0 + ratio), axis=-1)
+    return delta_f * np.log2(1.0 + ratio).sum(axis=-1)
 
 
 def water_filling(psi, p_t: float, delta_f: float | None = None

@@ -134,7 +134,7 @@ def _derive_line_state(lines: LineArrays, t_s, p):
         weight = amp * alpha / (np.pi * f_c * f_c * np.tanh(a * f_c))
         alpha2 = alpha * alpha
     nearest = int(f_c.argmin())
-    if not f_c.flat[nearest] > 0:
+    if not f_c.item(nearest) > 0:
         row, j = divmod(nearest, len(lines))
         raise DomainError(
             f"pressure shift drives resonance of line {j} to "
@@ -142,7 +142,7 @@ def _derive_line_state(lines: LineArrays, t_s, p):
     # w >= 0 has alpha as a factor, so its largest value shows either one
     # outside float64, and argmax returns a NaN first
     largest = int(weight.argmax())
-    if not weight.flat[largest] < np.inf:
+    if not weight.item(largest) < np.inf:
         row = largest // len(lines)
         raise DomainError(
             f"temperature {_at(t_s, row)!r} K at pressure {_at(p, row)!r} atm "
@@ -167,16 +167,22 @@ def _kept_line_state(lines: LineArrays, t_s, p):
     return state
 
 
+def _condition(x):
+    """A temperature or pressure as numpy's scalar, whose division by an
+    underflowed 0 gives inf, as an array's does, not an error; or, given
+    per row, as an (R, 1) column."""
+    if isinstance(x, float) or np.ndim(x) == 0:
+        return np.float64(x)
+    return np.asarray(x, dtype=np.float64).reshape(-1, 1)
+
+
 def _factors(freqs, lines: LineArrays, t_s, p, cutoff: float):
     """A call's result shape and, with lines and points, its factors: per
     point f and g, per line f_c, alpha^2, w and whether an alpha^2
     underflowed, and the cutoff, inf where it cannot mask any pair. Raises
     as kappa_totals."""
     freqs = np.asarray(freqs, dtype=np.float64)
-    # per-row conditions become (R, 1) columns; scalars become numpy's, whose
-    # division by an underflowed 0 gives inf, as an array's does, not an error
-    t_s, p = (np.float64(x) if isinstance(x, float) or np.ndim(x) == 0 else
-              np.asarray(x, dtype=np.float64).reshape(-1, 1) for x in (t_s, p))
+    t_s, p = _condition(t_s), _condition(p)
     per_row = isinstance(t_s, np.ndarray) or isinstance(p, np.ndarray)
     shape = np.broadcast(freqs, t_s, p).shape if per_row else freqs.shape
     if len(lines) == 0 or freqs.size == 0:
@@ -204,7 +210,7 @@ def _factors(freqs, lines: LineArrays, t_s, p, cutoff: float):
                           f"a f in tanh(a f) outside float64")
     g = freqs * freqs * np.tanh(a * freqs)
     smallest = g.argmin()
-    if not g.flat[smallest] > 0:
+    if not g.item(smallest) > 0:
         raise DomainError(outside.format(
             float(np.broadcast_to(freqs, g.shape).flat[smallest])))
     if f_c.shape != weight.shape:  # per-row t_s at one p; broadcast_to is slow

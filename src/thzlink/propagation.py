@@ -24,6 +24,11 @@ from .spectro import Medium
 # |sin(argument)| below this counts as sitting on a two-ray null.
 NULL_SINE_TOLERANCE = 1.0e-12
 
+# path_loss_grid's gap reasons, as 0-d object arrays, so that np.where
+# builds the object array of reasons directly
+_NULL, _OPAQUE, _NO_GAP = (np.array(reason, dtype=object)
+                           for reason in ("two-ray-null", "opaque", ""))
+
 
 def db(x: float) -> float:
     """Linear power ratio to dB."""
@@ -146,7 +151,7 @@ def two_ray_grid(geom: LinkGeometry, f, epsilon_r: float, d) -> tuple:
         l_d = (spreading * spreading * epsilon_r / (geom.g_t * geom.g_r)
                / (sine * sine))
     for i in (l_d.argmin(), l_d.argmax()):
-        if not 0 < l_d.flat[i] < np.inf:
+        if not 0 < l_d.item(i) < np.inf:
             f_i, d_i = (float(np.broadcast_to(x, l_d.shape).flat[i])
                         for x in (f, d))
             raise DomainError(
@@ -169,8 +174,8 @@ def path_loss_grid(geom: LinkGeometry, epsilon_r: float, f, kappa,
     l_d, null = two_ray_grid(geom, f, epsilon_r, d)
     l_a, opaque = _beer_lambert(kappa * d)
     l_d_db, l_a_db = 10.0 * np.log10(l_d), 10.0 * np.log10(l_a)
-    reasons = np.where(null, "two-ray-null", np.where(opaque, "opaque", ""))
-    return l_d, l_a, l_d_db, l_a_db, l_d_db + l_a_db, reasons.astype(object)
+    reasons = np.where(null, _NULL, np.where(opaque, _OPAQUE, _NO_GAP))
+    return l_d, l_a, l_d_db, l_a_db, l_d_db + l_a_db, reasons
 
 
 def _check_distance(geom: LinkGeometry, d: float | None = None) -> float:
@@ -210,14 +215,15 @@ def total_path_loss(geom: LinkGeometry, medium: Medium, env: Environment,
     """
     d = _check_distance(geom, d)
     kappa = kappa_over_grid(medium, (f,), env)[0]
-    *losses, reason = path_loss_grid(geom, medium.epsilon_r, f, kappa, d)
+    *losses, reasons = path_loss_grid(geom, medium.epsilon_r, f, kappa, d)
+    reason = reasons.item()
     if reason == "two-ray-null":
         raise TwoRayNullError(two_ray_argument(geom, f, medium.epsilon_r, d),
                               frequency=f)
     l_d, l_a, l_d_db, l_a_db, l_db = map(float, losses)
     return PathLossReport(l_d=l_d, l_a=l_a, l=l_d * l_a, l_d_db=l_d_db,
                           l_a_db=l_a_db, l_db=l_db,
-                          opaque=bool(reason == "opaque"))
+                          opaque=reason == "opaque")
 
 
 def link_budget_db(geom: LinkGeometry, medium: Medium, env: Environment,

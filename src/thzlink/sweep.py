@@ -147,16 +147,17 @@ def sweep_pathloss_vs_frequency(scenario: Scenario,
         d_values = [scenario.geom.d]
     freqs = _axis_values(f_range[0], f_range[1], n_points, log_axis)
     models = _model_media(scenario)
-    kappa = {model: kappa_over_grid(medium, freqs, scenario.env)
-             for model, medium in models}
+    # one row of kappa per model: the two-ray term, which does not depend
+    # on the model, is evaluated once per distance
+    kappa = np.stack([kappa_over_grid(medium, freqs, scenario.env)
+                      for _, medium in models])
     geom, eps = scenario.geom, scenario.medium.epsilon_r
     cells = {}
     for d, label in zip(d_values, _labels(d_values, "m")):
         _check_distance(geom, d)
-        for model, _ in models:
-            *_, l_db, reasons = path_loss_grid(geom, eps, freqs,
-                                               kappa[model], d)
-            cells[f"L_db_{model}_d{label}"] = (l_db, reasons)
+        *_, l_db, reasons = path_loss_grid(geom, eps, freqs, kappa, d)
+        for (model, _), row_db, row_reasons in zip(models, l_db, reasons):
+            cells[f"L_db_{model}_d{label}"] = (row_db, row_reasons)
     return SweepResult("frequency", "Hz", freqs, cells)
 
 

@@ -308,6 +308,19 @@ class TestWaterFilling:
                            match=r"budget 1e-06 W is lost to rounding beside "
                                  r"the lowest floor, 1\.35e\+288 W"):
             water_filling_grid(psi, 1.0e-6)
+        # floors whose sum overflows float64: the same error, no warning
+        with pytest.raises(DomainError,
+                           match=r"budget 1e-06 W is lost to rounding beside "
+                                 r"the lowest floor, 1e\+308 W"):
+            water_filling_grid(np.array([[1.0e308, 1.0e308]]), 1.0e-6)
+
+    def test_grid_funds_the_floors_below_a_sum_that_overflows(self):
+        """Only the level of all three floors overflows; the cheapest floor
+        alone is the active set, as in exact arithmetic."""
+        p_k, theta = water_filling_grid(np.array([[1.0, 1.0e308, 1.0e308]]),
+                                        1.0)
+        assert p_k.tolist() == [[1.0, 0.0, 0.0]]
+        assert theta.tolist() == [2.0]
 
 
 class TestChannelCapacity:
