@@ -10,6 +10,13 @@ the LineArrays, so repeated calls at one condition reuse them; the
 per-point factors are computed once per call. A lines x points pair costs
 the two poles, the cutoff test (skipped when no pair is farther apart than
 the cutoff) and a weighted sum.
+
+A call of more than BLOCK_CELLS pairs runs in blocks of points. At a scalar
+condition each block takes slices of (points, lines) copies of the line
+factors, tiled once per call, and its points repeated once per line, so
+that no pass broadcasts a column of points against a row of lines, which
+costs about twice a same-shape pass. One-block calls, and calls at one
+condition per row, whose line factors differ by row, broadcast views.
 """
 
 from __future__ import annotations
@@ -219,20 +226,20 @@ def _factors(freqs, lines: LineArrays, t_s, p, cutoff: float):
 
 
 def _weighted_poles(f, f_c, alpha2, weight, narrow, cutoff) -> np.ndarray:
-    """w_j times the poles, 0 beyond the cutoff, (..., K, lines), for (K,)
-    or (B, K) points and (lines,) or (B, lines) line factors (1-D: any row).
-    With ``narrow`` (some alpha^2 underflowed), a point on such a line's
-    center, where its pole leaves float64, raises DomainError.
+    """w_j times the poles, 0 beyond the cutoff, at the (..., K, lines)
+    pairs, for operands that broadcast to them: as _broadcast's views or
+    _tiled's same-shape copies. With ``narrow`` (some alpha^2 underflowed),
+    a point on such a line's center, where its pole leaves float64, raises
+    DomainError.
 
     Lines run along the last, contiguous axis, so numpy sums each point's
-    lines in the same (pairwise) order whatever the block's shape, and a
-    point's kappa has the same bits alone, in any block or in any row."""
-    f, fc, a2 = f[..., None], f_c[..., None, :], alpha2[..., None, :]
+    lines in the same (pairwise) order whatever the operands' shapes, and
+    a point's kappa has the same bits alone, in any block or in any row."""
     # in place, as allocating temporaries costs more than their arithmetic;
-    # f_c has every line factor's shape, so dm and dp have the block's
-    dm = f - fc
+    # f_c has every line factor's shape, so dm and dp have the pairs'
+    dm = f - f_c
     terms = dm * dm
-    terms += a2
+    terms += alpha2
     # only a line whose alpha^2 is below _TINY can put a denominator there
     if narrow and not terms.min() >= _TINY:
         at = int(terms.argmin())
@@ -241,14 +248,34 @@ def _weighted_poles(f, f_c, alpha2, weight, narrow, cutoff) -> np.ndarray:
             f"Hz is on the center of line {at % terms.shape[-1]}, whose "
             f"half-width squared underflows float64")
     np.reciprocal(terms, out=terms)
-    dp = f + fc
+    dp = f + f_c
     dp *= dp
-    dp += a2
+    dp += alpha2
     terms += np.reciprocal(dp, out=dp)
-    terms *= weight[..., None, :]
+    terms *= weight
     if cutoff < np.inf:
         terms[np.abs(dm) > cutoff] = 0.0
     return terms
+
+
+def _broadcast(f, f_c, alpha2, weight, narrow, cutoff):
+    """_weighted_poles' operands as views: (K,) or (B, K) points as
+    (..., K, 1) and (lines,) or (B, lines) line factors (1-D: any row) as
+    (..., 1, lines). Five of its passes then broadcast one against the
+    other, each at ~2x a same-shape pass's cost, but nothing is copied."""
+    return (f[..., None], f_c[..., None, :], alpha2[..., None, :],
+            weight[..., None, :], narrow, cutoff)
+
+
+def _tiled(f, tiles, narrow, cutoff):
+    """_weighted_poles' operands as same-shape arrays: each point of ``f``
+    repeated once per line, and the first ``f.size`` rows of each (P,
+    lines) tile of f_c, alpha^2 and w, viewed in the pairs' shape. The
+    repeat is one pass; it saves five broadcasting ones."""
+    pairs = f.shape + tiles[0].shape[-1:]
+    return (np.repeat(f, pairs[-1]).reshape(pairs),
+            *(tile[:f.size].reshape(pairs) for tile in tiles), narrow,
+            cutoff)
 
 
 def kappa_totals(freqs, lines: LineArrays, t_s, p,
@@ -272,17 +299,25 @@ def kappa_totals(freqs, lines: LineArrays, t_s, p,
         return np.zeros(shape)
     f, g, *per_line = terms
     if len(lines) * math.prod(shape) <= BLOCK_CELLS:  # one block
-        return g * _weighted_poles(f, *per_line).sum(axis=-1)
+        return g * _weighted_poles(*_broadcast(f, *per_line)).sum(axis=-1)
     # a row longer than the budget is split into blocks of points
     points = max(1, min(shape[-1], BLOCK_CELLS // len(lines)))
     out = np.empty(shape)
     by_row = out.reshape(-1, shape[-1])
+    # a scalar condition's line factors are tiled once per call to the most
+    # points a block holds, BLOCK_CELLS // lines; per-row conditions'
+    # differ by row, so a tile per block would cost about the copies it
+    # saves, and they stay broadcast views
+    tiles = [np.tile(x, (max(1, BLOCK_CELLS // len(lines)), 1))
+             for x in per_line[:3]] if per_line[0].ndim == 1 else None
     for rows, (f, g, *per_line) in row_blocks(len(by_row),
                                               len(lines) * points, *terms):
         for k in range(0, shape[-1], points):
             cols = slice(k, k + points)
+            operands = (_tiled(f[..., cols], tiles, *per_line[3:]) if tiles
+                        else _broadcast(f[..., cols], *per_line))
             by_row[rows, cols] = g[..., cols] * _weighted_poles(
-                f[..., cols], *per_line).sum(axis=-1)
+                *operands).sum(axis=-1)
     return out
 
 
@@ -294,8 +329,8 @@ def line_contributions(freqs, lines: LineArrays, t_s, p,
     if terms is None:
         return np.zeros(shape[:-1] + (len(lines),) + shape[-1:])
     f, g, *per_line = terms
-    return np.swapaxes(g[..., None] * _weighted_poles(f, *per_line),
-                       -1, -2)
+    return np.swapaxes(
+        g[..., None] * _weighted_poles(*_broadcast(f, *per_line)), -1, -2)
 
 
 def active_backend() -> str:

@@ -8,7 +8,25 @@ import pytest
 from thzlink import kernels
 from thzlink.absorption import Environment, kappa_over_grid, medium_kappa
 from thzlink.errors import DomainError
-from thzlink.spectro import Medium
+from thzlink.spectro import Medium, SpectralLine
+
+
+@pytest.fixture(scope="module")
+def wide_medium():
+    """1 100 seeded synthetic lines over 0.3-3.5 THz, about what a real
+    catalog keeps for the default scenario's two species."""
+    rng = np.random.default_rng(16)
+    n = 1100
+    columns = zip(rng.uniform(0.3e12, 3.5e12, n), rng.uniform(1e9, 1e13, n),
+                  rng.uniform(1e9, 4e9, n), rng.uniform(5e9, 2e10, n),
+                  rng.uniform(0.5, 0.9, n), rng.uniform(-1e8, 1e8, n))
+    lines = tuple(SpectralLine(gas_id=(1, 7)[j % 2], iso_id=1, f_c0=f_c0,
+                               line_intensity=s, alpha_air=a_air,
+                               alpha_self=a_self, temp_exponent=n_t,
+                               pressure_shift=shift)
+                  for j, (f_c0, s, a_air, a_self, n_t, shift)
+                  in enumerate(columns))
+    return Medium(composition={(1, 1): 0.25, (7, 1): 0.21}, lines=lines)
 
 
 def test_pack_lines_respects_per_species_q(full_catalog):
@@ -192,6 +210,83 @@ def test_one_row_is_split_by_the_pair_budget(default_medium, env):
     for k in (0, step - 1, step, freqs.size - 1):
         assert row[k] == pytest.approx(kernels.kappa_totals(
             freqs[k:k + 1], lines, env.t_s, env.p, 5.0e12)[0], rel=1e-14)
+
+
+def test_wide_row_keeps_its_tiles_within_the_budget(wide_medium, env):
+    """At scalar conditions a split row's line factors are tiled once per
+    call, three copies of at most BLOCK_CELLS cells, so with 1 100 lines the
+    peak is still a few blocks, not the row's lines x points."""
+    lines = wide_medium.packed
+    freqs = np.linspace(0.5e12, 3.5e12,
+                        20 * kernels.BLOCK_CELLS // len(lines) + 7)
+    tracemalloc.start()
+    kernels.kappa_totals(freqs, lines, env.t_s, env.p, 1.0e12)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    # the bound of test_one_row_is_split_by_the_pair_budget, plus the three
+    # tiles counted as three blocks; the row's temporaries would be 20
+    assert peak < 8 * (8 * freqs.size + 8 * kernels.BLOCK_CELLS) + 3 * (
+        8 * kernels.BLOCK_CELLS)
+
+
+def _one_point_calls(freqs, lines, t_s, p, cutoff):
+    return np.reshape([kernels.kappa_totals(freqs.flat[k:k + 1], lines, t_s,
+                                            p, cutoff)[0]
+                       for k in range(freqs.size)], freqs.shape)
+
+
+@pytest.mark.parametrize("cutoff", [np.inf, 2.0e11],
+                         ids=["mask-skipped", "mask-active"])
+@pytest.mark.parametrize("medium_name", ["one-line", "default_medium",
+                                         "wide_medium"])
+def test_blocks_at_scalar_conditions_match_one_point_calls(
+        medium_name, cutoff, request, env, line_factory):
+    """Every point of a scalar-condition call has its one-point call's bits,
+    signs included, on either side of each block boundary: K = P - 1, P,
+    P + 1 and 2P + 1 points, P being the most points a block holds, and a
+    grid whose blocks hold several rows of 3 points, the last block short."""
+    if medium_name == "one-line":
+        line = line_factory()
+        medium = Medium(composition={line.species: 0.1}, lines=(line,))
+    else:
+        medium = request.getfixturevalue(medium_name)
+    lines = medium.packed
+    most = max(1, kernels.BLOCK_CELLS // len(lines))
+    freqs = np.linspace(0.4e12, 3.4e12, 2 * most + 1)
+    one = _one_point_calls(freqs, lines, env.t_s, env.p, cutoff)
+    for k in (most - 1, most, most + 1, 2 * most + 1):
+        got = kernels.kappa_totals(freqs[:k], lines, env.t_s, env.p, cutoff)
+        assert np.array_equal(got, one[:k])
+        assert np.array_equal(np.signbit(got), np.signbit(one[:k]))
+    rows_per_block = kernels.BLOCK_CELLS // (3 * len(lines))
+    assert rows_per_block > 1
+    grid = (np.linspace(0.4e12, 3.4e12, 3)[None, :]
+            * np.linspace(1.0, 1.02, rows_per_block + 2)[:, None])
+    got = kernels.kappa_totals(grid, lines, env.t_s, env.p, cutoff)
+    one = _one_point_calls(grid, lines, env.t_s, env.p, cutoff)
+    assert np.array_equal(got, one)
+    assert np.array_equal(np.signbit(got), np.signbit(one))
+
+
+@pytest.mark.parametrize("medium_name, line", [("default_medium", 17),
+                                               ("wide_medium", 1000)])
+def test_center_of_a_narrow_line_in_a_later_block_names_it(
+        medium_name, line, request, env):
+    """At 1e-300 atm every half-width squared underflows; a point exactly on
+    a line's center, in the third block of a split row, raises the
+    one-block call's error, naming that frequency and line."""
+    lines = request.getfixturevalue(medium_name).packed
+    most = max(1, kernels.BLOCK_CELLS // len(lines))
+    freqs = np.linspace(0.4e12, 3.4e12, 4 * most)
+    # the shift moves the center by ~1e-292 Hz, which rounds away
+    center = float(lines.f_c0[line])
+    freqs[2 * most + 1] = center
+    message = (f"frequency {center!r} Hz is on the center of line {line}, "
+               f"whose half-width squared underflows float64")
+    for f in (freqs, freqs[2 * most + 1:2 * most + 2]):
+        with pytest.raises(DomainError) as raised:
+            kernels.kappa_totals(f, lines, env.t_s, 1.0e-300)
+        assert str(raised.value) == message
 
 
 def test_one_row_shapes(default_medium, env):
