@@ -57,7 +57,8 @@ def _build_parser() -> _Parser:
                      description="THz in-package link modeling")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, frequency_help="operating frequency [Hz] (default: "
+                                     "scenario band center)"):
         p.add_argument("--catalog", metavar="PATH",
                        help=f"line catalog path (default: ${CATALOG_ENV_VAR} "
                             "or the bundled sample catalog)")
@@ -72,8 +73,7 @@ def _build_parser() -> _Parser:
                        help="force the conventional model (empty "
                             "composition, kappa = 0)")
         p.add_argument("--frequency", type=float, default=None,
-                       help="operating frequency [Hz] "
-                            "(default: scenario band center)")
+                       help=frequency_help)
         p.add_argument("--power", type=float, default=None,
                        help="transmit power override [W]")
         p.add_argument("--distance", type=float, default=None,
@@ -96,7 +96,8 @@ def _build_parser() -> _Parser:
     p_cap.set_defaults(func=cmd_capacity)
 
     p_sweep = sub.add_parser("sweep", help="one-axis study as CSV")
-    add_common(p_sweep)
+    add_common(p_sweep, frequency_help="not taken: see --freqs, --from "
+                                       "and --to")
     p_sweep.add_argument("--axis", required=True,
                          choices=("frequency", "temperature", "pressure",
                                   "distance"))
@@ -351,7 +352,19 @@ def render_table(result: SweepResult) -> str:
                      for r in rows) + "\n"
 
 
+# Where each sweep axis takes its frequencies from; --frequency sets none.
+_SWEEP_FREQUENCIES = {
+    "frequency": "the frequency axis runs from --from to --to",
+    "temperature": "set the temperature axis's frequencies with --freqs",
+    "pressure": "set the pressure axis's frequencies with --freqs",
+    "distance": "the distance axis uses the band set in --scenario",
+}
+
+
 def cmd_sweep(args) -> int:
+    if args.frequency is not None:
+        raise ConfigError(
+            f"sweep takes no --frequency: {_SWEEP_FREQUENCIES[args.axis]}")
     scenario, _ = _load_run_config(args)
     defaults = AXIS_DEFAULTS[args.axis]
     lo = defaults[0] if args.axis_from is None else args.axis_from

@@ -224,6 +224,20 @@ class TestSweep:
         assert out == ""
         assert f"{flag} expects at least one number" in err
 
+    @pytest.mark.parametrize("axis, source", [
+        ("frequency", "--from to --to"), ("temperature", "with --freqs"),
+        ("pressure", "with --freqs"), ("distance", "set in --scenario")])
+    def test_frequency_flag_exits_1_and_names_the_axis_source(
+            self, capsys, axis, source):
+        """No sweep reads --frequency, so it is an error that points to the
+        flag that does set the axis's frequencies, not ignored."""
+        code, out, err = run(capsys, "sweep", "--axis", axis, "--points",
+                             "5", "--frequency", "2.5e12")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: sweep takes no --frequency: ")
+        assert err.count("\n") == 1 and err.rstrip().endswith(source)
+
     @pytest.mark.parametrize("axis", [
         ("--axis", "frequency"),
         ("--axis", "frequency", "--metric", "capacity"),

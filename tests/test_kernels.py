@@ -229,6 +229,13 @@ def test_wide_row_keeps_its_tiles_within_the_budget(wide_medium, env):
         8 * kernels.BLOCK_CELLS)
 
 
+def _medium(name, request, line_factory):
+    if name == "one-line":
+        line = line_factory()
+        return Medium(composition={line.species: 0.1}, lines=(line,))
+    return request.getfixturevalue(name)
+
+
 def _one_point_calls(freqs, lines, t_s, p, cutoff):
     return np.reshape([kernels.kappa_totals(freqs.flat[k:k + 1], lines, t_s,
                                             p, cutoff)[0]
@@ -245,12 +252,7 @@ def test_blocks_at_scalar_conditions_match_one_point_calls(
     signs included, on either side of each block boundary: K = P - 1, P,
     P + 1 and 2P + 1 points, P being the most points a block holds, and a
     grid whose blocks hold several rows of 3 points, the last block short."""
-    if medium_name == "one-line":
-        line = line_factory()
-        medium = Medium(composition={line.species: 0.1}, lines=(line,))
-    else:
-        medium = request.getfixturevalue(medium_name)
-    lines = medium.packed
+    lines = _medium(medium_name, request, line_factory).packed
     most = max(1, kernels.BLOCK_CELLS // len(lines))
     freqs = np.linspace(0.4e12, 3.4e12, 2 * most + 1)
     one = _one_point_calls(freqs, lines, env.t_s, env.p, cutoff)
@@ -287,6 +289,105 @@ def test_center_of_a_narrow_line_in_a_later_block_names_it(
         with pytest.raises(DomainError) as raised:
             kernels.kappa_totals(f, lines, env.t_s, 1.0e-300)
         assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("cutoff", [np.inf, 2.0e11],
+                         ids=["mask-skipped", "mask-active"])
+@pytest.mark.parametrize("medium_name", ["one-line", "default_medium",
+                                         "wide_medium"])
+def test_temperature_rows_at_one_pressure_match_one_point_calls(
+        medium_name, cutoff, request, env, line_factory):
+    """Rows that differ only in temperature share their line centers; every
+    point of every row still has its one-point call's bits, signs included,
+    at R - 1, R and R + 1 rows, R being the rows a block holds, and in rows
+    longer than one block, on either side of each block of points."""
+    lines = _medium(medium_name, request, line_factory).packed
+    points = max(1, kernels.BLOCK_CELLS // (3 * len(lines)))
+    rows_per_block = kernels.BLOCK_CELLS // (points * len(lines))
+    assert rows_per_block > 1
+    freqs = np.linspace(0.4e12, 3.4e12, points)
+    temps = np.linspace(250.0, 400.0, rows_per_block + 1)
+    one = np.stack([_one_point_calls(freqs, lines, float(t_s), env.p, cutoff)
+                    for t_s in temps])
+    for n_rows in (rows_per_block - 1, rows_per_block, rows_per_block + 1):
+        got = kernels.kappa_totals(freqs, lines, temps[:n_rows], env.p,
+                                   cutoff)
+        assert np.array_equal(got, one[:n_rows])
+        assert np.array_equal(np.signbit(got), np.signbit(one[:n_rows]))
+    most = max(1, kernels.BLOCK_CELLS // len(lines))
+    freqs = np.linspace(0.4e12, 3.4e12, 2 * most + 1)
+    got = kernels.kappa_totals(freqs, lines, temps[:2], env.p, cutoff)
+    for row, t_s in enumerate(temps[:2]):
+        for k in (0, most - 1, most, 2 * most):
+            want = kernels.kappa_totals(freqs[k:k + 1], lines, float(t_s),
+                                        env.p, cutoff)
+            assert np.array_equal(got[row, k:k + 1], want)
+            assert np.array_equal(np.signbit(got[row, k:k + 1]),
+                                  np.signbit(want))
+
+
+@pytest.mark.parametrize("medium_name, line", [("default_medium", 17),
+                                               ("wide_medium", 1000)])
+def test_center_of_a_narrow_line_in_a_later_row_block_names_it(
+        medium_name, line, request):
+    """At 1e-300 atm and 296 K every half-width squared underflows; at
+    1e-250 K the widths are ~1e150 times wider and do not. Rows at one
+    pressure over one row of points, cold ones first, raise the one-point
+    call's error in the first warm row's block, at a point on a line's
+    center in the second block of points."""
+    lines = request.getfixturevalue(medium_name).packed
+    most = max(1, kernels.BLOCK_CELLS // len(lines))
+    freqs = np.linspace(0.4e12, 3.4e12, 2 * most)
+    # the shift moves the center by ~1e-292 Hz, which rounds away
+    center = float(lines.f_c0[line])
+    freqs[most + 1] = center
+    temps = np.array([1.0e-250] * 3 + [296.0] * 2)
+    assert np.all(np.isfinite(kernels.kappa_totals(freqs, lines, temps[:3],
+                                                   1.0e-300)))
+    with pytest.raises(DomainError) as one_point:
+        kernels.kappa_totals(freqs[most + 1:most + 2], lines, 296.0,
+                             1.0e-300)
+    assert f"{center!r} Hz is on the center of line {line}," in str(
+        one_point.value)
+    with pytest.raises(DomainError) as raised:
+        kernels.kappa_totals(freqs, lines, temps, 1.0e-300)
+    assert str(raised.value) == str(one_point.value)
+
+
+def test_wide_temperature_rows_keep_shared_terms_within_the_budget(
+        wide_medium, env):
+    """Rows that differ only in temperature share one block's center terms
+    at a time, so with 1 100 lines the peak is the scalar-condition bound
+    plus one block set of those terms, not the rows' lines x points."""
+    lines = wide_medium.packed
+    freqs = np.linspace(0.5e12, 3.5e12,
+                        20 * kernels.BLOCK_CELLS // len(lines) + 7)
+    temps = np.linspace(250.0, 400.0, 4)
+    cells = temps.size * freqs.size
+    tracemalloc.start()
+    kernels.kappa_totals(freqs, lines, temps, env.p, 1.0e12)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    # the bound of test_one_row_is_split_by_the_pair_budget over the call's
+    # cells, plus (f - f_c)^2, (f + f_c)^2 and the mask counted as three
+    # blocks; one row's center terms alone would be 3 x 20 blocks
+    assert peak < 8 * (8 * cells + 8 * kernels.BLOCK_CELLS) + 3 * (
+        8 * kernels.BLOCK_CELLS)
+
+
+def test_line_contributions_at_per_row_temperatures_match_one_row_calls(
+        default_medium, env):
+    lines = default_medium.packed
+    freqs = np.linspace(0.9e12, 1.6e12, 5)
+    temps = np.linspace(250.0, 400.0, 3)
+    for cutoff in (np.inf, 2.0e11):
+        rows = kernels.line_contributions(freqs, lines, temps, env.p, cutoff)
+        assert rows.shape == (3, len(lines), 5)
+        for row, t_s in enumerate(temps):
+            one = kernels.line_contributions(freqs, lines, float(t_s), env.p,
+                                             cutoff)
+            assert np.array_equal(rows[row], one)
+            assert np.array_equal(np.signbit(rows[row]), np.signbit(one))
 
 
 def test_one_row_shapes(default_medium, env):
