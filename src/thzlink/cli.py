@@ -17,6 +17,7 @@ import sys
 import warnings
 from collections.abc import Iterator
 from dataclasses import replace
+from itertools import chain, islice
 
 import numpy as np
 
@@ -26,18 +27,22 @@ from .capacity import (BandPlan, channel_capacity,
 from .config import CATALOG_ENV_VAR, load_scenario
 from .errors import (CatalogParseError, ChannelModelError, ConfigError,
                      DomainError, ValidationError)
-from .kernels import row_blocks
+from .kernels import BLOCK_CELLS, row_blocks
 from .propagation import link_budget_db, total_path_loss
-from .sweep import (Scenario, SweepResult, sweep_capacity_vs_distance,
-                    sweep_capacity_vs_frequency, sweep_pathloss_vs_frequency,
-                    sweep_vs_pressure, sweep_vs_temperature)
+from .sweep import Scenario, SweepResult, _blocks, _join
 
-AXIS_DEFAULTS = {
-    "frequency": (1.0e12, 3.0e12),
-    "temperature": (250.0, 400.0),
-    "pressure": (20.0, 200.0),
-    "distance": (1.0e-5, 1.0e-4),
+# axis: (range, per-row input, values flag, flag it replaces, frequencies)
+_SWEEP_AXES = {
+    "frequency": ((1.0e12, 3.0e12), "f", "--distances", "--frequency",
+                  "the frequency axis runs from --from to --to"),
+    "temperature": ((250.0, 400.0), "t_s", "--freqs", "--temperature",
+                    "set the temperature axis's frequencies with --freqs"),
+    "pressure": ((20.0, 200.0), "p", "--freqs", "--pressure",
+                 "set the pressure axis's frequencies with --freqs"),
+    "distance": ((1.0e-5, 1.0e-4), "d", None, "--distance",
+                 "the distance axis uses the band set in --scenario"),
 }
+AXIS_DEFAULTS = {axis: row[0] for axis, row in _SWEEP_AXES.items()}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -95,7 +100,9 @@ def _build_parser() -> _Parser:
                        default="waterfilling")
     p_cap.set_defaults(func=cmd_capacity)
 
-    p_sweep = sub.add_parser("sweep", help="one-axis study as CSV")
+    p_sweep = sub.add_parser("sweep", help="one-axis study as CSV",
+                             description="An axis replaces its own flag: "
+                             "--distance, --temperature or --pressure.")
     add_common(p_sweep, frequency_help="not taken: see --freqs, --from "
                                        "and --to")
     p_sweep.add_argument("--axis", required=True,
@@ -146,18 +153,32 @@ def _load_run_config(args) -> tuple[Scenario, float]:
 
 
 def _emit(text: str | Iterator[str], path: str | None):
-    """Write ``text``, or each of its blocks in turn, to ``path`` or stdout.
-    A file that cannot be written is a ConfigError."""
+    """Write ``text``, or each of its blocks, to ``path`` (a regular file
+    whole or not at all) or stdout; ConfigError if it cannot be written."""
     blocks = [text] if isinstance(text, str) else text
     if path is None:
         sys.stdout.writelines(blocks)
         sys.stdout.flush()  # so a closed pipe raises here, not at exit
         return
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.writelines(blocks)
+        if os.path.exists(path) and not os.path.isfile(path):
+            # a device or a pipe is written in place, and a directory fails
+            with open(path, "w", encoding="utf-8", newline="\n") as handle:
+                handle.writelines(blocks)
+            return
+        target = os.path.realpath(path)
+        temp = f"{target}.{os.urandom(8).hex()}.tmp"  # beside the target
+        # "x": a new file, never through a link, in the mode "w" gives
+        with open(temp, "x", encoding="utf-8", newline="\n") as handle:
+            try:
+                handle.writelines(blocks)
+            except BaseException:
+                os.unlink(temp)
+                raise
+        os.replace(temp, target)
     except OSError as exc:
-        raise ConfigError(f"cannot write {path!r}: {exc}") from exc
+        raise ConfigError(
+            f"cannot write {path!r}: {exc.strerror or exc}") from exc
 
 
 def cmd_pathloss(args) -> int:
@@ -352,48 +373,32 @@ def render_table(result: SweepResult) -> str:
                      for r in rows) + "\n"
 
 
-# Where each sweep axis takes its frequencies from; --frequency sets none.
-_SWEEP_FREQUENCIES = {
-    "frequency": "the frequency axis runs from --from to --to",
-    "temperature": "set the temperature axis's frequencies with --freqs",
-    "pressure": "set the pressure axis's frequencies with --freqs",
-    "distance": "the distance axis uses the band set in --scenario",
-}
-
-
 def cmd_sweep(args) -> int:
-    if args.frequency is not None:
-        raise ConfigError(
-            f"sweep takes no --frequency: {_SWEEP_FREQUENCIES[args.axis]}")
+    defaults, varies, list_flag, own_flag, source = _SWEEP_AXES[args.axis]
+    for flag, instead in (("--frequency", source), (own_flag, f"the "
+                          f"{args.axis} axis runs from --from to --to")):
+        if getattr(args, flag[2:]) is not None:
+            raise ConfigError(f"sweep takes no {flag}: {instead}")
     scenario, _ = _load_run_config(args)
-    defaults = AXIS_DEFAULTS[args.axis]
-    lo = defaults[0] if args.axis_from is None else args.axis_from
-    hi = defaults[1] if args.axis_to is None else args.axis_to
-    n = args.points
-
-    if args.axis == "frequency":
-        if args.metric == "capacity":
-            result = sweep_capacity_vs_frequency(scenario, (lo, hi), n,
-                                                 log_axis=args.log)
-        else:
-            d_values = (None if args.distances is None
-                        else _parse_float_list(args.distances, "--distances"))
-            result = sweep_pathloss_vs_frequency(scenario, (lo, hi), n,
-                                                 d_values, log_axis=args.log)
-    elif args.axis in ("temperature", "pressure"):
-        f_values = (None if args.freqs is None
-                    else _parse_float_list(args.freqs, "--freqs"))
-        run = (sweep_vs_temperature if args.axis == "temperature"
-               else sweep_vs_pressure)
-        result = run(scenario, (lo, hi), n, f_values, log_axis=args.log)
-    else:
-        result = sweep_capacity_vs_distance(scenario, (lo, hi), n,
-                                            args.allocation,
-                                            log_axis=args.log)
-
-    # the table's column widths need every row; the CSV streams
-    _emit(render_table(result) if args.format == "pretty"
-          else csv_blocks(result), args.out)
+    lo, hi = (default if value is None else value for value, default
+              in zip((args.axis_from, args.axis_to), defaults))
+    if varies == "f" and args.metric == "capacity":
+        varies, list_flag = "f_k", None
+    text = getattr(args, list_flag[2:]) if list_flag else None
+    values = (args.allocation if varies == "d" else None if text is None
+              else _parse_float_list(text, list_flag))
+    blocks = _blocks(scenario, varies, (lo, hi), args.points, args.log,
+                     values)
+    if args.format == "pretty":  # the table's column widths need every row
+        _emit(render_table(_join(blocks)), args.out)
+    else:  # one header, then runs of blocks, about csv_blocks' rows each
+        first = next(blocks)
+        run = max(1, BLOCK_CELLS // (len(first.cells) + 2)
+                  // len(first.samples))
+        blocks = chain([first], blocks)
+        runs = (_join([block, *islice(blocks, run - 1)]) for block in blocks)
+        _emit(chain.from_iterable(islice(csv_blocks(result), i > 0, None)
+                                  for i, result in enumerate(runs)), args.out)
     return 0
 
 

@@ -4,13 +4,16 @@ Every sweep evaluates the proposed (absorbing-medium) and the conventional
 (kappa = 0, same geometry and permittivity) model at each axis point and
 returns both as columns of one deterministic result table. Points where
 the two-ray model is on a null, or where the medium saturates opaque, are
-recorded as explicit gap rows rather than interpolated.
+recorded as explicit gap rows rather than interpolated. One evaluator,
+_blocks, runs every sweep a block of rows at a time, which `thzlink sweep`
+streams in bounded memory; each public sweep joins its blocks.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +25,8 @@ from .capacity import (BandPlan, allocation_capacity_grid, centered_band_grid,
 from .capacity import channel_capacity  # noqa: F401 (perfbench patches it)
 from .constants import ATM_IN_KPA
 from .errors import DomainError, ValidationError
-from .propagation import LinkGeometry, _check_distance, path_loss_grid
+from .propagation import (_NO_GAP, _NULL, LinkGeometry, _check_distance,
+                          path_loss_grid)
 from .spectro import Medium
 
 
@@ -103,13 +107,11 @@ class SweepResult:
 def _axis_values(lo: float, hi: float, n_points: int, log_axis: bool
                  ) -> np.ndarray:
     if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
-        raise DomainError(
-            f"axis range must be finite and satisfy from < to, got "
-            f"[{lo!r}, {hi!r}]")
+        raise DomainError(f"axis range must be finite and satisfy from < to, "
+                          f"got [{lo!r}, {hi!r}]")
     if n_points < 1:
         raise DomainError(f"n_points must be >= 1, got {n_points!r}")
-    if n_points == 1:
-        return np.array([lo], dtype=np.float64)
+    log_axis = log_axis and n_points > 1  # one point is the start
     if log_axis and lo <= 0:
         raise DomainError("log-spaced axis needs a positive start")
     try:
@@ -119,22 +121,129 @@ def _axis_values(lo: float, hi: float, n_points: int, log_axis: bool
             [f"cannot allocate an axis of {n_points} points"]) from None
 
 
-def _model_media(scenario: Scenario) -> list[tuple[str, Medium]]:
-    return [("proposed", scenario.medium),
-            ("conventional", scenario.medium.without_absorption())]
-
-
 def _labels(values: list[float], unit: str) -> list[str]:
     """Column label of each value; two values with one label are an error."""
-    labels: dict[str, float] = {}
-    for value in values:
-        label = f"{value:g}{unit}"
-        if label in labels:
+    labels = [f"{value:g}{unit}" for value in values]
+    for i, label in enumerate(labels):
+        first = labels.index(label)
+        if first < i:
             raise ValidationError(
-                [f"{labels[label]!r} and {value!r} both print as {label!r}, "
-                 f"so their columns would share one name"])
-        labels[label] = value
-    return list(labels)
+                [f"{values[first]!r} and {values[i]!r} both print as "
+                 f"{label!r}, so their columns would share one name"])
+    return labels
+
+
+def _blocks(scenario: Scenario, varies: str, bounds: tuple[float, float],
+            n_points: int, log_axis: bool, values=None
+            ) -> Iterator[SweepResult]:
+    """The sweep whose axis sets ``varies`` per row, one SweepResult per
+    row_blocks block of the frequencies a row carries: "f" (1), path loss
+    at each distance in ``values``; "f_k", the band center (K), capacity;
+    "t_s" or "p" (kPa), both at each frequency in ``values`` (K + 1); "d"
+    (K), capacity per scheme of the allocation ``values``. Checks that
+    name the axis, its ends or a label, or that scan the whole axis (each
+    row's band, then the kernel and two-ray terms at the ends, which bound
+    every row's), run before the first block."""
+    geom, env, band = scenario.geom, scenario.env, scenario.band
+    eps = scenario.medium.epsilon_r  # both models'
+    axis, unit = {"f": ("frequency", "Hz"), "f_k": ("frequency", "Hz"), "d":
+                  ("distance", "m"), "t_s": ("temperature", "K"),
+                  "p": ("pressure", "kPa")}[varies]
+    schemes = ([(f"_{s}", s) for s in ("waterfilling", "flat")
+                if values in (s, "both")] if varies == "d"
+               else [("", "waterfilling")])
+    if not schemes:
+        raise DomainError(f"allocation must be waterfilling, flat, or both, "
+                          f"got {values!r}")
+    samples = _axis_values(*bounds, n_points, log_axis)
+    lowest = float(samples[0])
+    models = [("proposed", scenario.medium),
+              ("conventional", scenario.medium.without_absorption())]
+    if varies == "p" and lowest > 0 and not lowest / ATM_IN_KPA > 0:
+        raise ValidationError([f"pressure {lowest!r} kPa underflows to 0 "
+                               f"atm in float64"])
+    if varies == "f":
+        values = [geom.d] if values is None else values
+        labels = _labels(values, "m")
+    elif varies == "d":
+        _check_distance(geom, lowest)
+        _check_distance(geom, float(samples[-1]))
+    # per group of columns: suffix, kernel frequencies (None: the model's
+    # kappas), the path-loss one leading them and its d, and the band
+    fixed_groups = [("", None, None, None, band.f_k, band.delta_f)]
+    fixed = ([kappa_over_grid(medium, band.f_k, env) for _, medium in models]
+             if varies == "d" else [None, None])
+    if varies in ("t_s", "p"):
+        values = [1.0e12, 1.2e12, 1.5e12] if values is None else values
+        # every row's environment is valid when the first row's is
+        Environment(t_s=lowest if varies == "t_s" else env.t_s,
+                    p=lowest / ATM_IN_KPA if varies == "p" else env.p)
+        labels = _labels(values, "Hz")
+        plans = [BandPlan.centered(f, band.b, band.k) for f in values]
+        fixed_groups = [(f"_f{label}", np.concatenate(([f], plan.f_k)), f,
+                         geom.d, plan.f_k, plan.delta_f)
+                        for label, f, plan in zip(labels, values, plans)]
+
+    def cells_of(x: np.ndarray, capacity: bool = True) -> dict:
+        t_s = x[:, None] if varies == "t_s" else env.t_s
+        p = x[:, None] / ATM_IN_KPA if varies == "p" else env.p
+        d = x[:, None] if varies == "d" else geom.d
+        groups, kappas = fixed_groups, fixed
+        if varies == "f":  # one kernel call per model serves each distance
+            kappas = [kappa_over_grid(medium, x, env)[:, None]
+                      for _, medium in models]
+            groups = [(f"_d{label}", None, x, d_f, None, None)
+                      for label, d_f in zip(labels, values)]
+        elif varies == "f_k":
+            f_k, b = centered_band_grid(x, band.b, band.k)
+            groups = [("", f_k, None, None, f_k, b[:, None] / band.k)]
+        cells = {}
+        for suffix, freqs, f, d_f, f_k, delta_f in groups:
+            if freqs is not None:
+                kappas = [kernels.kappa_totals(freqs, medium.packed, t_s, p,
+                                               DEFAULT_WING_CUTOFF)
+                          for _, medium in models]
+            if f is not None:  # one two-ray term serves both models
+                *_, l_db, l_reasons = path_loss_grid(
+                    geom, eps, f, np.stack([k[:, 0] for k in kappas]),
+                    _check_distance(geom, d_f))
+            for i, ((model, _), kappa) in enumerate(zip(models, kappas)):
+                if f is not None:
+                    cells[f"L_db_{model}{suffix}"] = (l_db[i], l_reasons[i])
+                    kappa = kappa[:, 1:]
+                if not capacity or f_k is None:
+                    continue
+                psi, null = psi_grid(geom, eps, f_k, kappa, d, t_s, delta_f)
+                ok = ~null.any(axis=-1)  # a subband on a null gaps its row
+                psi = psi[ok]
+                widths = delta_f[ok, 0] if np.ndim(delta_f) == 2 else delta_f
+                reasons = np.where(ok, _NO_GAP, _NULL)
+                for tag, scheme in schemes:
+                    p_k = (water_filling_grid(psi, scenario.p_t)[0]
+                           if scheme == "waterfilling" else
+                           np.full(psi.shape, scenario.p_t / psi.shape[-1]))
+                    bps = np.full(len(x), np.nan)
+                    bps[ok] = allocation_capacity_grid(p_k, psi, widths)
+                    cells[f"C_bps_{model}{suffix}{tag}"] = (bps, reasons)
+        return cells
+
+    per_row = 1 if varies == "f" else band.k + (varies in ("t_s", "p"))
+    if len(samples) > kernels.BLOCK_CELLS // per_row:
+        if varies == "f_k":  # the first row without a band names itself
+            for rows, _ in kernels.row_blocks(len(samples), per_row):
+                centered_band_grid(samples[rows], band.b, band.k)
+        cells_of(samples[[0, -1]], capacity=False)
+    for rows, _ in kernels.row_blocks(len(samples), per_row):
+        yield SweepResult(axis, unit, samples[rows], cells_of(samples[rows]))
+
+
+def _join(blocks: Iterator[SweepResult]) -> SweepResult:
+    """The one SweepResult of a sweep's blocks."""
+    first, *rest = parts = list(blocks)
+    return first if not rest else SweepResult(
+        first.axis, first.unit, np.concatenate([b.samples for b in parts]),
+        {name: tuple(map(np.concatenate, zip(*(b.cells[name] for b in parts))))
+         for name in first.cells})
 
 
 def sweep_pathloss_vs_frequency(scenario: Scenario,
@@ -143,51 +252,7 @@ def sweep_pathloss_vs_frequency(scenario: Scenario,
                                 d_values: list[float] | None = None,
                                 log_axis: bool = False) -> SweepResult:
     """Total path loss [dB] vs frequency, one column pair per distance."""
-    if d_values is None:
-        d_values = [scenario.geom.d]
-    freqs = _axis_values(f_range[0], f_range[1], n_points, log_axis)
-    models = _model_media(scenario)
-    # one row of kappa per model: the two-ray term, which does not depend
-    # on the model, is evaluated once per distance
-    kappa = np.stack([kappa_over_grid(medium, freqs, scenario.env)
-                      for _, medium in models])
-    geom, eps = scenario.geom, scenario.medium.epsilon_r
-    cells = {}
-    for d, label in zip(d_values, _labels(d_values, "m")):
-        _check_distance(geom, d)
-        *_, l_db, reasons = path_loss_grid(geom, eps, freqs, kappa, d)
-        for (model, _), row_db, row_reasons in zip(models, l_db, reasons):
-            cells[f"L_db_{model}_d{label}"] = (row_db, row_reasons)
-    return SweepResult("frequency", "Hz", freqs, cells)
-
-
-def _capacity_cells(scenario: Scenario, medium: Medium, schemes, f_k, kappa,
-                    d, t_s, delta_f) -> dict[str, tuple]:
-    """Capacity [bits/s] of every row of a subband grid, per scheme.
-
-    Each argument is shared by all rows (a scalar, or (K,) for ``f_k`` and
-    ``kappa``) or given per row ((R, 1), or (R, K)). Rows are evaluated a
-    block at a time (kernels.row_blocks); a row with a subband on a
-    two-ray null becomes a gap cell.
-    """
-    grid = (f_k, kappa, d, t_s, delta_f)
-    n_rows = max(len(x) for x in grid if np.ndim(x) == 2)
-    cells = {scheme: (np.full(n_rows, np.nan),
-                      np.full(n_rows, "", dtype=object)) for scheme in schemes}
-    for rows, block in kernels.row_blocks(n_rows, np.shape(f_k)[-1], *grid):
-        psi, null = psi_grid(scenario.geom, medium.epsilon_r, *block)
-        ok = ~null.any(axis=-1)
-        psi = psi[ok]
-        widths = block[-1][ok, 0] if np.ndim(block[-1]) == 2 else block[-1]
-        for scheme in schemes:
-            if scheme == "waterfilling":
-                p_k, _theta = water_filling_grid(psi, scenario.p_t)
-            else:
-                p_k = np.full(psi.shape, scenario.p_t / psi.shape[-1])
-            values, reasons = cells[scheme]
-            values[rows][ok] = allocation_capacity_grid(p_k, psi, widths)
-            reasons[rows][~ok] = "two-ray-null"
-    return cells
+    return _join(_blocks(scenario, "f", f_range, n_points, log_axis, d_values))
 
 
 def sweep_capacity_vs_frequency(scenario: Scenario,
@@ -195,103 +260,32 @@ def sweep_capacity_vs_frequency(scenario: Scenario,
                                 n_points: int,
                                 log_axis: bool = False) -> SweepResult:
     """Capacity [bits/s] vs center frequency of a re-centered band."""
-    freqs = _axis_values(f_range[0], f_range[1], n_points, log_axis)
-    f_k, b = centered_band_grid(freqs, scenario.band.b, scenario.band.k)
-    delta_f = b[:, None] / scenario.band.k  # BandPlan.delta_f of each row
-    env = scenario.env
-    cells = {}
-    for model, medium in _model_media(scenario):
-        kappa = kappa_over_grid(medium, f_k, env)
-        cells[f"C_bps_{model}"] = _capacity_cells(
-            scenario, medium, ["waterfilling"], f_k, kappa, scenario.geom.d,
-            env.t_s, delta_f)["waterfilling"]
-    return SweepResult("frequency", "Hz", freqs, cells)
-
-
-def _environment_sweep(scenario: Scenario, axis: str, unit: str, xs, t_s, p,
-                       f_values: list[float] | None) -> SweepResult:
-    """Path loss and capacity at each f value over rows of (t_s, p).
-
-    ``t_s`` and ``p`` are scalars or one value per axis point; one kernel
-    call per model and f value covers the path-loss frequency and the
-    subbands of every row.
-    """
-    if f_values is None:
-        f_values = [1.0e12, 1.2e12, 1.5e12]
-    # every row's environment is valid when the lowest t_s and p are
-    Environment(t_s=float(np.min(t_s)), p=float(np.min(p)))
-    geom = scenario.geom
-    t_col = t_s[:, None] if np.ndim(t_s) else t_s
-    cells = {}
-    for f, label in zip(f_values, _labels(f_values, "Hz")):
-        band = BandPlan.centered(f, scenario.band.b, scenario.band.k)
-        freqs = np.concatenate(([f], band.f_k))
-        for model, medium in _model_media(scenario):
-            suffix = f"{model}_f{label}"
-            kappa = kernels.kappa_totals(freqs, medium.packed, t_s, p,
-                                         DEFAULT_WING_CUTOFF)
-            *_, l_db, reasons = path_loss_grid(geom, medium.epsilon_r, f,
-                                               kappa[:, 0], geom.d)
-            cells[f"L_db_{suffix}"] = (l_db, reasons)
-            cells[f"C_bps_{suffix}"] = _capacity_cells(
-                scenario, medium, ["waterfilling"], band.f_k, kappa[:, 1:],
-                geom.d, t_col, band.delta_f)["waterfilling"]
-    return SweepResult(axis, unit, xs, cells)
+    return _join(_blocks(scenario, "f_k", f_range, n_points, log_axis))
 
 
 def sweep_vs_temperature(scenario: Scenario, t_range: tuple[float, float],
                          n_points: int, f_values: list[float] | None = None,
                          log_axis: bool = False) -> SweepResult:
     """Path loss and capacity vs system noise temperature [K]."""
-    temps = _axis_values(t_range[0], t_range[1], n_points, log_axis)
-    return _environment_sweep(scenario, "temperature", "K", temps, temps,
-                              scenario.env.p, f_values)
+    return _join(_blocks(scenario, "t_s", t_range, n_points, log_axis,
+                         f_values))
 
 
 def sweep_vs_pressure(scenario: Scenario, p_range_kpa: tuple[float, float],
                       n_points: int, f_values: list[float] | None = None,
                       log_axis: bool = False) -> SweepResult:
     """Path loss and capacity vs ambient pressure, axis in kPa."""
-    pressures = _axis_values(p_range_kpa[0], p_range_kpa[1], n_points,
-                             log_axis)
-    p_atm = pressures / ATM_IN_KPA
-    # the axis rises, so its first value is the one that can underflow
-    if pressures[0] > 0 and not p_atm[0] > 0:
-        raise ValidationError([f"pressure {float(pressures[0])!r} kPa "
-                               f"underflows to 0 atm in float64"])
-    return _environment_sweep(scenario, "pressure", "kPa", pressures,
-                              scenario.env.t_s, p_atm, f_values)
+    return _join(_blocks(scenario, "p", p_range_kpa, n_points, log_axis,
+                         f_values))
 
 
 def sweep_capacity_vs_distance(scenario: Scenario,
                                d_range: tuple[float, float], n_points: int,
                                allocation: str = "both",
                                log_axis: bool = False) -> SweepResult:
-    """Capacity [bits/s] vs antenna separation [m], per allocation scheme.
-
-    kappa does not depend on d, so each model's is computed once for the
-    whole axis.
-    """
-    if allocation not in ("waterfilling", "flat", "both"):
-        raise DomainError(
-            f"allocation must be waterfilling, flat, or both, "
-            f"got {allocation!r}")
-    schemes = (["waterfilling", "flat"] if allocation == "both"
-               else [allocation])
-    distances = _axis_values(d_range[0], d_range[1], n_points, log_axis)
-    geom = scenario.geom
-    for d in (distances[0], distances[-1]):  # the axis is monotonic
-        _check_distance(geom, float(d))
-    band, env = scenario.band, scenario.env
-    cells = {}
-    for model, medium in _model_media(scenario):
-        kappa = kappa_over_grid(medium, band.f_k, env)
-        by_scheme = _capacity_cells(scenario, medium, schemes, band.f_k,
-                                    kappa, distances[:, None], env.t_s,
-                                    band.delta_f)
-        cells.update((f"C_bps_{model}_{scheme}", by_scheme[scheme])
-                     for scheme in schemes)
-    return SweepResult("distance", "m", distances, cells)
+    """Capacity [bits/s] vs antenna separation [m], per allocation scheme."""
+    return _join(_blocks(scenario, "d", d_range, n_points, log_axis,
+                         allocation))
 
 
 __all__ = [

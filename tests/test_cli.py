@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 import warnings
@@ -237,6 +238,18 @@ class TestSweep:
         assert out == ""
         assert err.startswith("error: sweep takes no --frequency: ")
         assert err.count("\n") == 1 and err.rstrip().endswith(source)
+
+    @pytest.mark.parametrize("axis, flag, value", [
+        ("temperature", "--temperature", "350"),
+        ("pressure", "--pressure", "0.5"), ("distance", "--distance", "1e-3")])
+    def test_axis_override_flag_exits_1_and_names_it(self, capsys, axis, flag,
+                                                     value):
+        """The axis sets its own input row by row, so that input's override
+        flag is an error that names it, not ignored."""
+        err = one_error_line(*run(capsys, "sweep", "--axis", axis, "--points",
+                                  "5", flag, value))
+        assert err == (f"error: sweep takes no {flag}: the {axis} axis runs "
+                       f"from --from to --to\n")
 
     @pytest.mark.parametrize("axis", [
         ("--axis", "frequency"),
@@ -595,6 +608,69 @@ def test_axis_too_long_to_allocate_exits_1(capsys):
     assert "axis of 100000000000000000000 points" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--axis", "frequency", "--from", "1e12", "--to", "1e300", "--log",
+      "--points", "5000"),
+     "frequency 1e+300 Hz puts f^2 tanh(a f) outside float64"),
+    (("--axis", "frequency", "--from", "1e12", "--to", "1e300", "--log",
+      "--points", "5000", "--metric", "capacity"),
+     "frequency 1.0476206269564685e+25 Hz is too large to split a "
+     "100000000000.0 Hz band into 64 subbands in float64"),
+    # the first five blocks of rows evaluate before the sixth fails
+    (("--axis", "temperature", "--from", "250", "--to", "1e30", "--log",
+      "--points", "1000"),
+     "no fundable subband: the budget 1e-06 W is lost to rounding beside "
+     "the lowest floor, 18262383962.596256 W")],
+    ids=["pathloss", "capacity", "row-level"])
+def test_failed_sweep_leaves_the_out_file_as_it_was(capsys, tmp_path, argv,
+                                                    message):
+    """A sweep that fails writes nothing: an existing --out file keeps its
+    bytes and no other file is left beside it."""
+    target = tmp_path / "sweep.csv"
+    target.write_bytes(b"an earlier sweep\n")
+    assert run(capsys, "sweep", *argv, "--out", str(target)) == (
+        2, "", f"model error: {message}\n")
+    assert target.read_bytes() == b"an earlier sweep\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["sweep.csv"]
+
+
+def child_peak_rss_mib(tmp_path, *argv) -> float:
+    """Peak RSS [MiB] of a child process that runs the CLI on ``argv`` with
+    its output to a file: the VmHWM of its own address space. (Its
+    getrusage ru_maxrss would also count the address space it was spawned
+    from, this test process's.)"""
+    src = os.path.dirname(os.path.dirname(thzlink.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = ("import re, sys; from thzlink.cli import main; "
+              "code = main(sys.argv[1:]); "
+              "status = open('/proc/self/status').read(); "
+              "print(re.search(r'VmHWM:\\s*(\\d+) kB', status)[1]); "
+              "sys.exit(code)")
+    child = subprocess.run(
+        [sys.executable, "-c", script, *argv, "--out",
+         str(tmp_path / "sweep.csv")],
+        capture_output=True, env=env, timeout=600)
+    assert child.returncode == 0, child.stderr
+    return int(child.stdout) / 1024
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the peak RSS from /proc/self/status")
+@pytest.mark.parametrize("axis, small, large", [
+    (("--axis", "frequency", "--metric", "capacity"), 2000, 50000),
+    (("--axis", "pressure"), 2000, 20000)], ids=["capacity", "pressure"])
+def test_sweep_peak_memory_does_not_grow_with_points(tmp_path, axis, small,
+                                                     large):
+    """The CLI evaluates and writes a sweep one block of rows at a time, so
+    only the 8-byte axis grows with --points. Whole-axis evaluation took
+    the child's peak from 34 to 129 MiB (capacity) and from 36 to 81 MiB
+    (pressure) over these point counts."""
+    peaks = [child_peak_rss_mib(tmp_path, "sweep", *axis, "--points", str(n))
+             for n in (small, large)]
+    assert peaks[1] - peaks[0] < 16, peaks
+
+
 def test_scenario_band_below_zero_exits_1(capsys, tmp_path):
     path = write_scenario(tmp_path, {"band": {"center": 1.0e10}})
     code, out, err = run(capsys, "capacity", "--scenario", path)
@@ -639,6 +715,13 @@ class TestFileAndStreamErrors:
         err = one_error_line(*run(capsys, "sweep", "--axis", "distance",
                                   "--points", "3", "--out", target))
         assert f"cannot write {target!r}" in err
+
+    def test_out_to_a_device_is_written_in_place(self, capsys):
+        """Only a regular file is replaced through a temporary file; a
+        device such as the null device stays what it is."""
+        assert run(capsys, "sweep", "--axis", "distance", "--points", "3",
+                   "--out", os.devnull) == (0, "", "")
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
     def test_stdout_closed_early_exits_1_quietly(self):
         """`thzlink sweep ... | head -1`: the reader leaves after one line."""
@@ -780,11 +863,18 @@ def float_lists(draw):
 
 @st.composite
 def cli_argvs(draw):
-    """A pathloss, capacity or sweep command with a random mix of flags."""
+    """A pathloss, capacity or sweep command with a random mix of flags. A
+    sweep draws its axis first, and then neither --frequency nor the axis's
+    own override flag, which exit 1 before any sweep runs."""
     command = draw(st.sampled_from(["pathloss", "capacity", "sweep"]))
     argv = [command]
-    numeric = [flag for flag in TYPICAL
-               if command == "sweep" or flag not in ("--from", "--to")]
+    not_taken = ["--from", "--to"]
+    if command == "sweep":
+        axis = draw(st.sampled_from(["frequency", "temperature", "pressure",
+                                     "distance"]))
+        argv += ["--axis", axis, "--points", str(draw(st.integers(0, 3)))]
+        not_taken = ["--frequency", f"--{axis}"]
+    numeric = [flag for flag in TYPICAL if flag not in not_taken]
     for flag in draw(st.lists(st.sampled_from(numeric), unique=True)):
         value = draw(st.sampled_from(FUZZ_VALUES + TYPICAL[flag]))
         argv += draw(st.sampled_from([[flag, value], [f"{flag}={value}"]]))
@@ -794,9 +884,6 @@ def cli_argvs(draw):
         argv += ["--allocation", draw(st.sampled_from(["waterfilling",
                                                        "flat"]))]
     if command == "sweep":
-        argv += ["--axis", draw(st.sampled_from(
-                     ["frequency", "temperature", "pressure", "distance"])),
-                 "--points", str(draw(st.integers(0, 3)))]
         optional = {"--log": [], "--metric": ["pathloss", "capacity"],
                     "--allocation": ["waterfilling", "flat", "both"],
                     "--distances": None, "--freqs": None}
@@ -813,13 +900,20 @@ def cli_argvs(draw):
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(cli_argvs())
-def test_exit_code_contract_holds_for_any_flags(argv):
-    """Any flag mix exits 0, 1 or 2, and no exception escapes main."""
+def test_exit_code_contract_holds_for_any_flags(tmp_path_factory, argv):
+    """Any flag mix exits 0, 1 or 2, no exception escapes main, and a
+    command that fails leaves no --out file."""
+    out_dir = tmp_path_factory.getbasetemp() / "fuzzed_out"
+    out_dir.mkdir(exist_ok=True)
+    for earlier in out_dir.iterdir():
+        earlier.unlink()
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        code = main(argv + ["--out", str(out_dir / "out.txt")])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+    if code:
+        assert list(out_dir.iterdir()) == []
 
 
 def key_paths(default, path=()):

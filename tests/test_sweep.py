@@ -15,7 +15,7 @@ from thzlink.errors import DomainError, TwoRayNullError, ValidationError
 from thzlink.propagation import (LinkGeometry, dielectric_path_loss,
                                  total_path_loss, two_ray_grid)
 from thzlink.spectro import Medium, SpectralLine
-from thzlink.sweep import (Scenario, sweep_capacity_vs_distance,
+from thzlink.sweep import (Scenario, SweepResult, sweep_capacity_vs_distance,
                            sweep_capacity_vs_frequency,
                            sweep_pathloss_vs_frequency, sweep_vs_pressure,
                            sweep_vs_temperature)
@@ -256,6 +256,39 @@ def test_rows_span_several_grid_blocks(default_scenario):
                 default_scenario.band, d, default_scenario.p_t)
             assert row[f"C_bps_{model}_waterfilling"] == \
                 expected.capacity_bits_per_s
+
+
+@pytest.mark.parametrize("sweep, bounds, row_cells", [
+    (lambda s, b, n: sweep_pathloss_vs_frequency(s, b, n, [1.0e-4, 2.0e-2]),
+     (1.0e12, 3.0e12), lambda k: 1),
+    (sweep_capacity_vs_frequency, (1.0e12, 3.0e12), lambda k: k),
+    (sweep_capacity_vs_distance, (1.0e-5, 1.0e-4), lambda k: k),
+    (sweep_vs_temperature, (250.0, 400.0), lambda k: k + 1),
+    (sweep_vs_pressure, (20.0, 200.0), lambda k: k + 1)],
+    ids=["pathloss-frequency", "capacity-frequency", "distance",
+         "temperature", "pressure"])
+def test_rows_at_block_edges_are_one_point_sweeps(default_scenario, sweep,
+                                                  bounds, row_cells):
+    """A sweep is evaluated in blocks of BLOCK_CELLS // (the frequencies a
+    row carries) rows. At one row fewer than a block, one block and one
+    row more, the rows at and beside each block edge are the one-point
+    sweep at their axis value, bit for bit."""
+    block = kernels.BLOCK_CELLS // row_cells(default_scenario.band.k)
+    for n in (block - 1, block, block + 1):
+        result = sweep(default_scenario, bounds, n)
+        for i in sorted({0, block - 2, block - 1, block, n - 1} & {*range(n)}):
+            x = float(result.samples[i])
+            alone = sweep(default_scenario, (x, 2.0 * x), 1)
+            row = SweepResult(result.axis, result.unit,
+                              result.samples[i:i + 1],
+                              {column: (values[i:i + 1], reasons[i:i + 1])
+                               for column, (values, reasons)
+                               in result.cells.items()})
+            assert row == alone, (n, i)
+            for column, (values, reasons) in alone.cells.items():
+                assert np.array_equal(row.cells[column][0], values,
+                                      equal_nan=True), (n, i, column)
+                assert np.array_equal(row.cells[column][1], reasons)
 
 
 def test_determinism(default_scenario):
