@@ -28,7 +28,7 @@ from .config import CATALOG_ENV_VAR, load_scenario
 from .errors import (CatalogParseError, ChannelModelError, ConfigError,
                      DomainError, ValidationError)
 from .kernels import BLOCK_CELLS, row_blocks
-from .propagation import link_budget_db, total_path_loss
+from .propagation import GAP_REASONS, link_budget_db, total_path_loss
 from .sweep import Scenario, SweepResult, _blocks, _join
 
 # axis: (range, per-row input, values flag, flag it replaces, frequencies)
@@ -260,16 +260,17 @@ def _header(result: SweepResult) -> tuple[str, ...]:
 def _cell_rows(result: SweepResult, spec: str, rows) -> list[tuple[str, ...]]:
     """Body rows ``rows`` (a slice or indices), one string per cell: gaps
     empty, the gap column their reasons sorted and joined with ';'."""
-    cells = [(values[rows].tolist(), reasons[rows])
-             for values, reasons in result.cells.values()]
+    cells = [(values[rows].tolist(), codes[rows])
+             for values, codes in result.cells.values()]
     columns = [[f"{x:{spec}}" for x in result.samples[rows].tolist()]]
-    columns += [["" if why else f"{value:{spec}}"
-                 for value, why in zip(values, reasons)]
-                for values, reasons in cells]
+    columns += [["" if code else f"{value:{spec}}"
+                 for value, code in zip(values, codes.tolist())]
+                for values, codes in cells]
     gap = [""] * len(columns[0])
-    gapped = np.any([reasons != "" for _, reasons in cells], axis=0)
+    gapped = np.any([codes != 0 for _, codes in cells], axis=0)
     for i in np.flatnonzero(gapped).tolist():
-        gap[i] = ";".join(sorted({why[i] for _, why in cells} - {""}))
+        reasons = {GAP_REASONS[codes[i]] for _, codes in cells}
+        gap[i] = ";".join(sorted(reasons - {""}))
     return list(zip(*columns, gap))
 
 
@@ -283,6 +284,17 @@ _EXP_SIGN = np.frombuffer(b"e+e-", np.uint16)
 _CELL = 18  # len("d.dddddddddddde+XX")
 
 
+def _product_error(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a b - fl(a b), exactly: Dekker's TwoProduct on Veltkamp's split,
+    for products that neither overflow nor underflow."""
+    def split(y):
+        c = 134217729.0 * y  # 2^27 + 1
+        high = c - (c - y)
+        return high, y - high
+    (a1, a2), (b1, b2) = split(a), split(b)
+    return ((a1 * b1 - a * b) + a1 * b2 + a2 * b1) + a2 * b2
+
+
 def _e12_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``format(v, ".12e")`` of each v in ``x`` as _CELL bytes, shape
     x.shape + (_CELL,), and a mask of the cells that hold it exactly.
@@ -291,9 +303,12 @@ def _e12_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     exact, so m = v 10^k takes one rounding; m < 2^53 and ulp(m) <= 2^-9,
     so every half-integer near m is a float64, and by monotone rounding
     rint(m) is the integer nearest the exact v 10^k unless m is itself a
-    half-integer. Those 13 digits are what the correctly rounded format
+    half-integer. At such a tie the sign of v 10^k - m decides: the error
+    of the product for k >= 0, the residual v - m 10^|k| for k < 0, both
+    exact; at 0 the tie is exact, and rint rounds it half to even as the
+    format does. Those 13 digits are what the correctly rounded format
     prints. A cell is declined (mask False, bytes meaningless) for v <= 0,
-    NaN or inf, |k| > 22, m outside [10^12, 10^13) or a tie."""
+    NaN or inf, |k| > 22 or m outside [10^12, 10^13)."""
     ok = (x > 0) & (x < np.inf)
     x = np.where(ok, x, 1.0)
     e = np.floor(np.log10(x))
@@ -303,7 +318,14 @@ def _e12_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # one of the two factors is 1.0, so this is one rounding
     m = x * _POW10[np.maximum(k, 0)] / _POW10[np.maximum(-k, 0)]
     n = np.rint(m)
-    ok &= (m >= 1e12) & (m < 1e13) & (np.abs(m - n) != 0.5)
+    ok &= (m >= 1e12) & (m < 1e13)
+    tie = ok & (np.abs(m - n) == 0.5)
+    if tie.any():
+        v, m_tie, scale = x[tie], m[tie], _POW10[np.abs(k[tie])]
+        # fl(m 10^|k|) is within a factor 2 of v, so v less it is exact
+        above = np.where(k[tie] >= 0, _product_error(v, scale),
+                         (v - m_tie * scale) - _product_error(m_tie, scale))
+        n[tie] = np.where(above == 0, n[tie], m_tie + np.copysign(0.5, above))
     carry = n == 1e13  # m in [10^13 - 0.5, 10^13): 1.000000000000e+(e+1)
     n[carry] = 1e12
     e += carry
@@ -346,7 +368,7 @@ def csv_blocks(result: SweepResult) -> Iterator[str]:
         row_cells[..., _CELL] = ord(",")
         matrix[:, -1] = ord("\n")
         text = str(matrix.data, "ascii")
-        gapped = [reasons[block] != "" for _, reasons in result.cells.values()]
+        gapped = [codes[block] != 0 for _, codes in result.cells.values()]
         redo = np.flatnonzero(~ok.all(axis=1) | np.any(gapped, axis=0))
         if redo.size:
             pieces, start = [], 0

@@ -24,10 +24,8 @@ from .spectro import Medium
 # |sin(argument)| below this counts as sitting on a two-ray null.
 NULL_SINE_TOLERANCE = 1.0e-12
 
-# path_loss_grid's gap reasons, as 0-d object arrays, so that np.where
-# builds the object array of reasons directly
-_NULL, _OPAQUE, _NO_GAP = (np.array(reason, dtype=object)
-                           for reason in ("two-ray-null", "opaque", ""))
+# a gap reason's text, indexed by its uint8 code: 0 is no gap
+GAP_REASONS = ("", "two-ray-null", "opaque")
 
 
 def db(x: float) -> float:
@@ -166,16 +164,16 @@ def path_loss_grid(geom: LinkGeometry, epsilon_r: float, f, kappa,
     L_a (linear), then L_d, L_a and L = L_d * L_a in dB, and each cell's
     gap reason.
 
-    The reasons are an object array of "two-ray-null", "opaque" or "" for
-    none; the null takes precedence. An opaque cell, whose kappa * d
-    exceeds DEFAULT_OVERFLOW_CAP, saturates L_a at exp(cap). Raises as
-    two_ray_grid.
+    The reasons are a uint8 array of codes into GAP_REASONS: 1 for
+    "two-ray-null", 2 for "opaque", 0 for none; the null takes precedence.
+    An opaque cell, whose kappa * d exceeds DEFAULT_OVERFLOW_CAP, saturates
+    L_a at exp(cap). Raises as two_ray_grid.
     """
     l_d, null = two_ray_grid(geom, f, epsilon_r, d)
     l_a, opaque = _beer_lambert(kappa * d)
     l_d_db, l_a_db = 10.0 * np.log10(l_d), 10.0 * np.log10(l_a)
-    reasons = np.where(null, _NULL, np.where(opaque, _OPAQUE, _NO_GAP))
-    return l_d, l_a, l_d_db, l_a_db, l_d_db + l_a_db, reasons
+    codes = np.where(null, np.uint8(1), opaque * np.uint8(2))
+    return l_d, l_a, l_d_db, l_a_db, l_d_db + l_a_db, codes
 
 
 def _check_distance(geom: LinkGeometry, d: float | None = None) -> float:
@@ -215,8 +213,8 @@ def total_path_loss(geom: LinkGeometry, medium: Medium, env: Environment,
     """
     d = _check_distance(geom, d)
     kappa = kappa_over_grid(medium, (f,), env)[0]
-    *losses, reasons = path_loss_grid(geom, medium.epsilon_r, f, kappa, d)
-    reason = reasons.item()
+    *losses, code = path_loss_grid(geom, medium.epsilon_r, f, kappa, d)
+    reason = GAP_REASONS[code.item()]
     if reason == "two-ray-null":
         raise TwoRayNullError(two_ray_argument(geom, f, medium.epsilon_r, d),
                               frequency=f)
@@ -253,8 +251,8 @@ def link_budget_db(geom: LinkGeometry, medium: Medium, env: Environment,
 
 
 __all__ = [
-    "NULL_SINE_TOLERANCE", "db", "LinkGeometry", "PathLossReport",
-    "LinkBudget", "phase_velocity", "phase_difference", "two_ray_argument",
-    "two_ray_grid", "path_loss_grid", "dielectric_path_loss",
-    "total_path_loss", "link_budget_db",
+    "NULL_SINE_TOLERANCE", "GAP_REASONS", "db", "LinkGeometry",
+    "PathLossReport", "LinkBudget", "phase_velocity", "phase_difference",
+    "two_ray_argument", "two_ray_grid", "path_loss_grid",
+    "dielectric_path_loss", "total_path_loss", "link_budget_db",
 ]

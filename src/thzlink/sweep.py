@@ -25,7 +25,7 @@ from .capacity import (BandPlan, allocation_capacity_grid, centered_band_grid,
 from .capacity import channel_capacity  # noqa: F401 (perfbench patches it)
 from .constants import ATM_IN_KPA
 from .errors import DomainError, ValidationError
-from .propagation import (_NO_GAP, _NULL, LinkGeometry, _check_distance,
+from .propagation import (GAP_REASONS, LinkGeometry, _check_distance,
                           path_loss_grid)
 from .spectro import Medium
 
@@ -58,11 +58,11 @@ class Scenario:
 class SweepResult:
     """Axis samples with one value column per (model, metric) pair.
 
-    ``cells`` maps each column, in order, to (values, reasons) arrays
-    along ``samples``; a cell with a reason is a gap. Row views, built on
-    first use: ``points`` pairs each axis value with a column->value dict
-    of its cells that did not gap, and ``gaps`` lists every (axis value,
-    column, reason) skipped.
+    ``cells`` maps each column, in order, to (values, codes) arrays along
+    ``samples``; a cell whose uint8 code is not 0 is a gap, for the reason
+    ``GAP_REASONS[code]``. Row views, built on first use: ``points`` pairs
+    each axis value with a column->value dict of its cells that did not
+    gap, and ``gaps`` lists every (axis value, column, reason str) skipped.
     """
 
     axis: str
@@ -77,13 +77,14 @@ class SweepResult:
     @functools.cached_property
     def _row_views(self) -> tuple[list, list]:
         points, gaps = [], []
-        columns = [(column, values.tolist(), reasons)
-                   for column, (values, reasons) in self.cells.items()]
+        # bytes index to ints at an eighth of a list's memory
+        columns = [(column, values.tolist(), codes.tobytes())
+                   for column, (values, codes) in self.cells.items()]
         for i, x in enumerate(self.samples.tolist()):
             row: dict[str, float] = {}
-            for column, values, reasons in columns:
-                if reasons[i]:
-                    gaps.append((x, column, reasons[i]))
+            for column, values, codes in columns:
+                if codes[i]:
+                    gaps.append((x, column, GAP_REASONS[codes[i]]))
                 else:
                     row[column] = values[i]
             points.append((x, row))
@@ -204,12 +205,12 @@ def _blocks(scenario: Scenario, varies: str, bounds: tuple[float, float],
                                                DEFAULT_WING_CUTOFF)
                           for _, medium in models]
             if f is not None:  # one two-ray term serves both models
-                *_, l_db, l_reasons = path_loss_grid(
+                *_, l_db, l_codes = path_loss_grid(
                     geom, eps, f, np.stack([k[:, 0] for k in kappas]),
                     _check_distance(geom, d_f))
             for i, ((model, _), kappa) in enumerate(zip(models, kappas)):
                 if f is not None:
-                    cells[f"L_db_{model}{suffix}"] = (l_db[i], l_reasons[i])
+                    cells[f"L_db_{model}{suffix}"] = (l_db[i], l_codes[i])
                     kappa = kappa[:, 1:]
                 if not capacity or f_k is None:
                     continue
@@ -217,14 +218,14 @@ def _blocks(scenario: Scenario, varies: str, bounds: tuple[float, float],
                 ok = ~null.any(axis=-1)  # a subband on a null gaps its row
                 psi = psi[ok]
                 widths = delta_f[ok, 0] if np.ndim(delta_f) == 2 else delta_f
-                reasons = np.where(ok, _NO_GAP, _NULL)
+                codes = (~ok).view(np.uint8)  # 1: "two-ray-null"
                 for tag, scheme in schemes:
                     p_k = (water_filling_grid(psi, scenario.p_t)[0]
                            if scheme == "waterfilling" else
                            np.full(psi.shape, scenario.p_t / psi.shape[-1]))
                     bps = np.full(len(x), np.nan)
                     bps[ok] = allocation_capacity_grid(p_k, psi, widths)
-                    cells[f"C_bps_{model}{suffix}{tag}"] = (bps, reasons)
+                    cells[f"C_bps_{model}{suffix}{tag}"] = (bps, codes)
         return cells
 
     per_row = 1 if varies == "f" else band.k + (varies in ("t_s", "p"))

@@ -23,6 +23,7 @@ from thzlink.cli import _e12_cells, main, render_csv, render_table
 from thzlink.config import DEFAULT_SCENARIO, load_scenario
 from thzlink.constants import LIGHT_SPEED
 from thzlink.kernels import BLOCK_CELLS
+from thzlink.propagation import GAP_REASONS
 from thzlink.sweep import (SweepResult, sweep_pathloss_vs_frequency,
                            sweep_vs_temperature)
 
@@ -398,7 +399,8 @@ def one_column_result(samples, values, reasons=None):
         reasons = [""] * len(samples)
     return SweepResult("frequency", "Hz", samples, {
         "v": (np.asarray(values, dtype=np.float64),
-              np.array(reasons, dtype=object))})
+              np.array([GAP_REASONS.index(reason) for reason in reasons],
+                       dtype=np.uint8))})
 
 
 def exact_decimal_float(digits: int, exponent: int) -> float:
@@ -432,7 +434,8 @@ def adversarial_cells() -> list[float]:
 
 def test_cell_formatter_is_exact_where_it_accepts():
     """_e12_cells' accepted cells are format(x, ".12e") byte for byte; it
-    declines exact ties, 3-digit exponents and values that are not > 0."""
+    decides ties exactly and declines 3-digit exponents and values that
+    are not > 0."""
     xs = np.array(adversarial_cells())
     cells, ok = _e12_cells(xs)
     for x, cell, accepted in zip(xs.tolist(), cells, ok.tolist()):
@@ -443,8 +446,12 @@ def test_cell_formatter_is_exact_where_it_accepts():
     cells, ok = _e12_cells(np.array([1.5e12, 28.28853622645, 1e-5, carry]))
     assert ok.all()
     assert cells[3].tobytes() == b"1.000000000000e+13"
-    _, ok = _e12_cells(np.array([1000000000000.5, 2000000000000.5, 1e100,
-                                 -1.5, 0.0, math.inf, math.nan]))
+    ties = [1000000000000.5, 2000000000000.5]
+    cells, ok = _e12_cells(np.array(ties))
+    assert ok.all()
+    assert [cell.tobytes().decode("ascii") for cell in cells] == [
+        format(x, ".12e") for x in ties]
+    _, ok = _e12_cells(np.array([1e100, -1.5, 0.0, math.inf, math.nan]))
     assert not ok.any()
 
 

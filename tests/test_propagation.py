@@ -7,11 +7,11 @@ import pytest
 from thzlink.absorption import Environment
 from thzlink.constants import LIGHT_SPEED
 from thzlink.errors import DomainError, TwoRayNullError, ValidationError
-from thzlink.propagation import (LinkGeometry, db, dielectric_path_loss,
-                                 link_budget_db, path_loss_grid,
-                                 phase_difference, phase_velocity,
-                                 total_path_loss, two_ray_argument,
-                                 two_ray_grid)
+from thzlink.propagation import (GAP_REASONS, LinkGeometry, db,
+                                 dielectric_path_loss, link_budget_db,
+                                 path_loss_grid, phase_difference,
+                                 phase_velocity, total_path_loss,
+                                 two_ray_argument, two_ray_grid)
 from thzlink.spectro import Medium
 
 # frequency putting the default-geometry sine argument exactly on pi
@@ -222,17 +222,17 @@ def test_two_ray_argument_validates_distance(geom, d):
         dielectric_path_loss(geom, 1.0e12, 1.0, d=d)
 
 
-def test_path_loss_grid_reasons_are_one_object_array_of_str(geom):
-    """Each cell's reason is exactly the str "two-ray-null", "opaque" or ""
-    in an object array (0-d for scalar f, kappa and d), and a null that is
-    also opaque is a null."""
+def test_path_loss_grid_reasons_are_one_uint8_array_of_codes(geom):
+    """Each cell's reason is a uint8 code whose GAP_REASONS entry is the str
+    "two-ray-null", "opaque" or "" (0-d for scalar f, kappa and d), and a
+    null that is also opaque is a null."""
     f = np.array([NULL_FREQUENCY, 1.0e12])
     kappa = np.array([[0.0], [1.0e9]])  # kappa * d = 1e5: opaque
-    *_, reasons = path_loss_grid(geom, 1.0, f, kappa, geom.d)
-    assert reasons.dtype == object and reasons.shape == (2, 2)
-    assert reasons.tolist() == [["two-ray-null", ""],
-                                ["two-ray-null", "opaque"]]
-    assert {type(reason) for reason in reasons.flat} == {str}
-    *_, reason = path_loss_grid(geom, 1.0, 1.0e12, 1.0e9, geom.d)
-    assert reason.dtype == object and reason.shape == ()
-    assert type(reason.item()) is str and reason.item() == "opaque"
+    *_, codes = path_loss_grid(geom, 1.0, f, kappa, geom.d)
+    assert codes.dtype == np.uint8 and codes.shape == (2, 2)
+    assert [[GAP_REASONS[code] for code in row] for row in codes.tolist()] \
+        == [["two-ray-null", ""], ["two-ray-null", "opaque"]]
+    assert GAP_REASONS == ("", "two-ray-null", "opaque")
+    *_, code = path_loss_grid(geom, 1.0, 1.0e12, 1.0e9, geom.d)
+    assert code.dtype == np.uint8 and code.shape == ()
+    assert GAP_REASONS[code.item()] == "opaque"

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from test_grid_fixtures import gap_scenario, null_frequency
 
 from thzlink import kernels
 from thzlink.absorption import (DEFAULT_WING_CUTOFF, Environment,
@@ -12,8 +13,9 @@ from thzlink.cli import main
 from thzlink.config import load_scenario
 from thzlink.constants import LIGHT_SPEED
 from thzlink.errors import DomainError, TwoRayNullError, ValidationError
-from thzlink.propagation import (LinkGeometry, dielectric_path_loss,
-                                 total_path_loss, two_ray_grid)
+from thzlink.propagation import (GAP_REASONS, LinkGeometry,
+                                 dielectric_path_loss, total_path_loss,
+                                 two_ray_grid)
 from thzlink.spectro import Medium, SpectralLine
 from thzlink.sweep import (Scenario, SweepResult, sweep_capacity_vs_distance,
                            sweep_capacity_vs_frequency,
@@ -346,6 +348,19 @@ def test_opaque_medium_becomes_gap_row(env, band):
         assert "L_db_conventional_d0.002m" in row
 
 
+def test_gaps_yield_str_reasons_of_both_kinds():
+    """The gap view turns each cell's code into its reason, a Python str,
+    for path-loss and capacity cells alike."""
+    scenario = gap_scenario()
+    result = sweep_vs_temperature(scenario, (250.0, 400.0), 5,
+                                  [1.2e12, null_frequency(scenario)])
+    assert {type(reason) for _, _, reason in result.gaps} == {str}
+    assert {reason for _, _, reason in result.gaps} == {"two-ray-null",
+                                                        "opaque"}
+    assert {column.split("_")[0] for _, column, _ in result.gaps} == {"L",
+                                                                      "C"}
+
+
 def test_points_cover_sorted_axis(default_scenario):
     result = sweep_capacity_vs_distance(default_scenario, (1e-5, 1e-4), 11)
     xs = [x for x, _ in result.points]
@@ -374,7 +389,8 @@ def test_point_queries_are_grid_cells_bitwise(default_scenario, d):
                            default_scenario.medium.without_absorption())]:
         eps = medium.epsilon_r
         l_d, null = two_ray_grid(geom, freqs, eps, d)
-        values, reasons = result.cells[f"L_db_{model}_d{d:g}m"]
+        values, codes = result.cells[f"L_db_{model}_d{d:g}m"]
+        reasons = [GAP_REASONS[code] for code in codes.tolist()]
         kappa = kappa_over_grid(medium, freqs, env)
         rows = kernels.kappa_totals(freqs, medium.packed,
                                     np.array([250.0, env.t_s]), env.p,
