@@ -110,9 +110,11 @@ def _check_frequencies(freqs: np.ndarray, positive: bool = True) -> tuple:
 
 
 # Most cells evaluated at once: kernel lines x points, capacity rows x
-# subbands, rendered rows x columns. It bounds a block's temporaries (64 KiB
-# a float64 array, so they stay in cache); no row depends on another.
-BLOCK_CELLS = 1 << 13
+# subbands, rendered rows x columns; no row depends on another. 1 << 14 ran
+# fastest of 1 << 12 ... 1 << 16: larger blocks pay fewer numpy dispatches,
+# but past 128 KiB a float64 temporary, glibc malloc returns a block's freed
+# temporaries to the OS and the next block faults them in afresh.
+BLOCK_CELLS = 1 << 14
 
 
 def row_blocks(n_rows: int, row_cells: int, *args):
@@ -347,10 +349,8 @@ def kappa_totals(freqs, lines: LineArrays, t_s, p,
                     *_broadcast(f[cols], f_c, *line_rows, narrow, cutoff),
                     centers).sum(axis=-1)
         return out
-    # a scalar condition's line factors are tiled once per call to the most
-    # points a block holds, BLOCK_CELLS // lines; per-row p moves f_c by
-    # row, and per-row points pair each row's own, so a tile per block
-    # would cost about the copies it saves, and they stay broadcast views
+    # tiled once per call at a scalar condition; per-row line factors stay
+    # views, as tiling them per block would cost about the copies it saves
     tiles = [np.tile(x, (max(1, BLOCK_CELLS // len(lines)), 1))
              for x in per_line[:3]] if alpha2.ndim == 1 else None
     for rows, (f, g, *per_line) in row_blocks(len(by_row),

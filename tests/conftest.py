@@ -5,7 +5,8 @@ from thzlink.absorption import Environment
 from thzlink.capacity import BandPlan
 from thzlink.config import read_bundled_catalog
 from thzlink.propagation import LinkGeometry
-from thzlink.spectro import SpectralLine, load_medium, parse_line_catalog
+from thzlink.spectro import (Medium, SpectralLine, load_medium,
+                             parse_line_catalog)
 from thzlink.sweep import Scenario
 
 ALL_SPECIES = {(1, 1), (1, 2), (7, 1), (4, 1)}
@@ -43,6 +44,24 @@ def default_medium(floored_catalog):
          "composition": [{"gas_id": 1, "iso_id": 1, "q": 0.25},
                          {"gas_id": 7, "iso_id": 1, "q": 0.21}]},
         floored_catalog)
+
+
+@pytest.fixture(scope="session")
+def wide_medium():
+    """1 100 seeded synthetic lines over 0.3-3.5 THz, about what a real
+    catalog keeps for the default scenario's two species."""
+    rng = np.random.default_rng(16)
+    n = 1100
+    columns = zip(rng.uniform(0.3e12, 3.5e12, n), rng.uniform(1e9, 1e13, n),
+                  rng.uniform(1e9, 4e9, n), rng.uniform(5e9, 2e10, n),
+                  rng.uniform(0.5, 0.9, n), rng.uniform(-1e8, 1e8, n))
+    lines = tuple(SpectralLine(gas_id=(1, 7)[j % 2], iso_id=1, f_c0=f_c0,
+                               line_intensity=s, alpha_air=a_air,
+                               alpha_self=a_self, temp_exponent=n_t,
+                               pressure_shift=shift)
+                  for j, (f_c0, s, a_air, a_self, n_t, shift)
+                  in enumerate(columns))
+    return Medium(composition={(1, 1): 0.25, (7, 1): 0.21}, lines=lines)
 
 
 @pytest.fixture

@@ -470,8 +470,9 @@ def test_csv_cells_are_format_12e_for_any_float(xs):
 
 
 def test_csv_block_with_every_fallback_case_matches_reference():
-    """One block holds a negative value, a 3-digit exponent, a tie and gap
-    rows at both of its ends among fast rows."""
+    """One block holds, among fast rows, gap rows at both of its ends, a
+    negative value and a 3-digit exponent, which take the per-row fallback,
+    and a tie, which the fast path decides exactly."""
     n = 50
     samples = np.linspace(1.0e12, 3.0e12, n)
     values = np.linspace(20.0, 80.0, n)

@@ -8,25 +8,7 @@ import pytest
 from thzlink import kernels
 from thzlink.absorption import Environment, kappa_over_grid, medium_kappa
 from thzlink.errors import DomainError
-from thzlink.spectro import Medium, SpectralLine
-
-
-@pytest.fixture(scope="module")
-def wide_medium():
-    """1 100 seeded synthetic lines over 0.3-3.5 THz, about what a real
-    catalog keeps for the default scenario's two species."""
-    rng = np.random.default_rng(16)
-    n = 1100
-    columns = zip(rng.uniform(0.3e12, 3.5e12, n), rng.uniform(1e9, 1e13, n),
-                  rng.uniform(1e9, 4e9, n), rng.uniform(5e9, 2e10, n),
-                  rng.uniform(0.5, 0.9, n), rng.uniform(-1e8, 1e8, n))
-    lines = tuple(SpectralLine(gas_id=(1, 7)[j % 2], iso_id=1, f_c0=f_c0,
-                               line_intensity=s, alpha_air=a_air,
-                               alpha_self=a_self, temp_exponent=n_t,
-                               pressure_shift=shift)
-                  for j, (f_c0, s, a_air, a_self, n_t, shift)
-                  in enumerate(columns))
-    return Medium(composition={(1, 1): 0.25, (7, 1): 0.21}, lines=lines)
+from thzlink.spectro import Medium
 
 
 def test_pack_lines_respects_per_species_q(full_catalog):

@@ -9,7 +9,7 @@ from thzlink import kernels
 from thzlink.absorption import (DEFAULT_WING_CUTOFF, Environment,
                                 kappa_over_grid)
 from thzlink.capacity import BandPlan, centered_band_grid, channel_capacity
-from thzlink.cli import main
+from thzlink.cli import main, render_csv
 from thzlink.config import load_scenario
 from thzlink.constants import LIGHT_SPEED
 from thzlink.errors import DomainError, TwoRayNullError, ValidationError
@@ -260,7 +260,8 @@ def test_rows_span_several_grid_blocks(default_scenario):
                 expected.capacity_bits_per_s
 
 
-@pytest.mark.parametrize("sweep, bounds, row_cells", [
+# each sweep, its axis range and the frequencies a row carries, of K
+EVERY_SWEEP = pytest.mark.parametrize("sweep, bounds, row_cells", [
     (lambda s, b, n: sweep_pathloss_vs_frequency(s, b, n, [1.0e-4, 2.0e-2]),
      (1.0e12, 3.0e12), lambda k: 1),
     (sweep_capacity_vs_frequency, (1.0e12, 3.0e12), lambda k: k),
@@ -269,6 +270,9 @@ def test_rows_span_several_grid_blocks(default_scenario):
     (sweep_vs_pressure, (20.0, 200.0), lambda k: k + 1)],
     ids=["pathloss-frequency", "capacity-frequency", "distance",
          "temperature", "pressure"])
+
+
+@EVERY_SWEEP
 def test_rows_at_block_edges_are_one_point_sweeps(default_scenario, sweep,
                                                   bounds, row_cells):
     """A sweep is evaluated in blocks of BLOCK_CELLS // (the frequencies a
@@ -291,6 +295,50 @@ def test_rows_at_block_edges_are_one_point_sweeps(default_scenario, sweep,
                 assert np.array_equal(row.cells[column][0], values,
                                       equal_nan=True), (n, i, column)
                 assert np.array_equal(row.cells[column][1], reasons)
+
+
+@EVERY_SWEEP
+def test_csv_does_not_depend_on_the_block_budget(default_scenario, sweep,
+                                                 bounds, row_cells,
+                                                 monkeypatch):
+    """The block budget sets how many rows are evaluated and rendered at
+    once, never a byte: a sweep three blocks and a few rows long at
+    1 << 12 cells renders the same CSV at that budget and at the default
+    one, which holds it in fewer blocks."""
+    small = 1 << 12
+    assert kernels.BLOCK_CELLS > small
+    n = 3 * (small // row_cells(default_scenario.band.k)) + 5
+    text = render_csv(sweep(default_scenario, bounds, n))
+    monkeypatch.setattr(kernels, "BLOCK_CELLS", small)
+    assert render_csv(sweep(default_scenario, bounds, n)) == text
+
+
+@pytest.mark.parametrize("medium_name", ["default_medium", "wide_medium"])
+def test_kernel_bits_do_not_depend_on_the_block_budget(medium_name, request,
+                                                       env, monkeypatch):
+    """kappa_totals has the same bits at 1 << 12 cells a block and at the
+    default budget: at a scalar condition over one long row and over a grid
+    of band rows (the tiled layout), and at per-row temperatures (shared
+    centers) and per-row pressures (broadcast views) over 7 and 40 rows of
+    65 points; with the 35 default lines the 7 rows are one block at the
+    default budget and several at 1 << 12."""
+    lines = request.getfixturevalue(medium_name).packed
+    freqs = np.linspace(0.4e12, 3.4e12, 2000)
+    grid = centered_band_grid(np.linspace(1.0e12, 2.0e12, 40), 1.0e11,
+                              64)[0]
+    calls = [(freqs, env.t_s, env.p), (grid, env.t_s, env.p)]
+    for n_rows in (7, 40):
+        calls += [(freqs[::31], np.linspace(250.0, 400.0, n_rows), env.p),
+                  (freqs[::31], env.t_s, np.linspace(0.2, 2.0, n_rows))]
+
+    def bits():
+        return [kernels.kappa_totals(f, lines, t_s, p,
+                                     DEFAULT_WING_CUTOFF).tobytes()
+                for f, t_s, p in calls]
+
+    default = bits()
+    monkeypatch.setattr(kernels, "BLOCK_CELLS", 1 << 12)
+    assert bits() == default
 
 
 def test_determinism(default_scenario):
