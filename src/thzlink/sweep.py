@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,15 +54,42 @@ class Scenario:
                                self.medium.without_absorption())
 
 
+class _Rows(Sequence):
+    """``SweepResult.points``: rows are built when first read, then kept."""
+
+    def __init__(self, samples: np.ndarray, cells: dict):
+        self._samples, self._cells, self._built = samples, cells, {}
+
+    def __len__(self) -> int:
+        return len(self._samples)
+
+    def __getitem__(self, i):
+        i = range(len(self._samples))[i]  # IndexError past either end
+        if isinstance(i, range):
+            return [self[j] for j in i]
+        if i not in self._built:
+            self._built[i] = (self._samples[i].item(),
+                              {column: values[i].item() for column,
+                               (values, codes) in self._cells.items()
+                               if not codes[i]})
+        return self._built[i]
+
+    def __eq__(self, other):
+        return list(self) == (list(other) if isinstance(other, _Rows)
+                              else other)
+
+
 @dataclass(frozen=True, eq=False)
 class SweepResult:
     """Axis samples with one value column per (model, metric) pair.
 
     ``cells`` maps each column, in order, to (values, codes) arrays along
     ``samples``; a cell whose uint8 code is not 0 is a gap, for the reason
-    ``GAP_REASONS[code]``. Row views, built on first use: ``points`` pairs
-    each axis value with a column->value dict of its cells that did not
-    gap, and ``gaps`` lists every (axis value, column, reason str) skipped.
+    ``GAP_REASONS[code]``. Rows are built from the columns when read:
+    ``points`` pairs each axis value with a column->value dict of its cells
+    that did not gap, and ``gaps`` lists every (axis value, column, reason
+    str) skipped. Results are equal when their axes, columns, gap codes
+    and non-gap values are.
     """
 
     axis: str
@@ -75,34 +102,29 @@ class SweepResult:
         return list(self.cells)
 
     @functools.cached_property
-    def _row_views(self) -> tuple[list, list]:
-        points, gaps = [], []
-        # bytes index to ints at an eighth of a list's memory
-        columns = [(column, values.tolist(), codes.tobytes())
-                   for column, (values, codes) in self.cells.items()]
-        for i, x in enumerate(self.samples.tolist()):
-            row: dict[str, float] = {}
-            for column, values, codes in columns:
-                if codes[i]:
-                    gaps.append((x, column, GAP_REASONS[codes[i]]))
-                else:
-                    row[column] = values[i]
-            points.append((x, row))
-        return points, gaps
+    def points(self) -> Sequence[tuple[float, dict[str, float]]]:
+        return _Rows(self.samples, self.cells)
 
-    @property
-    def points(self) -> list[tuple[float, dict[str, float]]]:
-        return self._row_views[0]
-
-    @property
+    @functools.cached_property
     def gaps(self) -> list[tuple[float, str, str]]:
-        return self._row_views[1]
+        codes = np.array([c for _, c in self.cells.values()], np.uint8)
+        codes = codes.reshape(len(self.cells), len(self.samples)).T
+        rows, cols = np.nonzero(codes)  # row-major: row, then column order
+        columns = self.columns
+        return [(x, columns[c], GAP_REASONS[code]) for x, c, code in zip(
+            self.samples[rows].tolist(), cols.tolist(),
+            codes[rows, cols].tolist())]
 
     def __eq__(self, other):
         if not isinstance(other, SweepResult):
             return NotImplemented
-        return ((self.axis, self.unit, self.columns, self._row_views)
-                == (other.axis, other.unit, other.columns, other._row_views))
+        return ((self.axis, self.unit, self.columns)
+                == (other.axis, other.unit, other.columns)
+                and np.array_equal(self.samples, other.samples)
+                and all(np.array_equal(codes, other.cells[column][1])
+                        and np.array_equal(values[codes == 0],
+                                           other.cells[column][0][codes == 0])
+                        for column, (values, codes) in self.cells.items()))
 
 
 def _axis_values(lo: float, hi: float, n_points: int, log_axis: bool
