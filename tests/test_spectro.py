@@ -1,11 +1,12 @@
 import math
 import struct
+import tracemalloc
 import warnings
 from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thzlink import spectro
@@ -276,6 +277,50 @@ def test_column_parse_is_bitwise_reference_on_seeded_catalog(floor):
     assert _bits(columns) == _bits(reference)
 
 
+def _species(text):
+    return {(int(record[0:2]), int(record[2]))
+            for record in text.split("\n") if record}
+
+
+def _skipped(text, wanted):
+    """_parse_columns's skip rule on each record of newline-ended text."""
+    chars = np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, 161)
+    return spectro._skippable(chars[:, :160], wanted)
+
+
+@pytest.mark.parametrize("floor", [0.0, DEFAULT_INTENSITY_FLOOR])
+@pytest.mark.parametrize("every_species", [False, True],
+                         ids=["none-wanted", "all-wanted"])
+@pytest.mark.parametrize("source", ["bundled", "seeded"])
+def test_column_parse_is_bitwise_reference_at_either_extreme_of_skipping(
+        catalog_text, source, every_species, floor):
+    text = (catalog_text if source == "bundled"
+            else _seeded_catalog(20261018, 3000))
+    wanted = _species(text) if every_species else set()
+    # no species wanted: every record is skipped; all of them: none is
+    assert (_skipped(text, wanted) == (not every_species)).all()
+    columns = spectro._parse_columns(text, wanted, floor)
+    assert columns is not None
+    reference = spectro._parse_records(text, wanted, floor)
+    assert (len(reference) > 30) == every_species
+    assert columns == reference
+    assert _bits(columns) == _bits(reference)
+
+
+def test_parse_peak_memory_is_the_text_and_a_bounded_rest():
+    text = _seeded_catalog(20261020, 2000) * 100  # 200 000 records
+    tracemalloc.start()
+    try:
+        lines = parse_line_catalog(text, {(1, 1)})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(lines) > 1000
+    # the text's ASCII bytes are one copy of it; the rest must not grow
+    # with the records of species that are not wanted
+    assert peak < len(text) + 8 * 2**20
+
+
 SMALL_CATALOG = _seeded_catalog(7, 12)
 SMALL_WANTED = {tuple(int(x) for x in (record[0:2], record[2]))
                 for record in SMALL_CATALOG.split("\n")[:6:2]}
@@ -309,6 +354,48 @@ def test_any_field_text_parses_as_the_reference(data):
                                           max_size=hi - lo + 1))
     text = SMALL_CATALOG + "".join(record)
     wanted = SMALL_WANTED | {(int(x), 1) for x in range(-9, 100)}
+    for floor in (0.0, DEFAULT_INTENSITY_FLOOR):
+        assert (_outcome(parse_line_catalog, text, wanted, floor)
+                == _outcome(spectro._parse_records, text, wanted, floor))
+
+
+# a record of a species SMALL_WANTED lacks, as serialize_line writes it
+UNWANTED_RECORD = make_record(gas=12, iso=1, nu=12.5, s=3.2e-24, gair=0.0512,
+                              gself=0.31, n=0.69, delta=-0.0013)
+CONSUMED_COLUMNS = sorted({column for (lo, hi), _ in spectro._FIELDS.values()
+                           for column in range(lo, hi + 1)})
+
+
+def test_unwanted_record_is_skipped_until_its_species_is_wanted():
+    assert (12, 1) not in SMALL_WANTED
+    assert _skipped(UNWANTED_RECORD + "\n", SMALL_WANTED).all()
+    assert not _skipped(UNWANTED_RECORD + "\n", {(12, 1)}).any()
+    # (1, 111) shares the code 10 * gas + iso with (12, 1): not skipped
+    clash = {(1, 111)}
+    assert not _skipped(UNWANTED_RECORD + "\n", clash).any()
+    assert (_outcome(parse_line_catalog, UNWANTED_RECORD, clash)
+            == _outcome(spectro._parse_records, UNWANTED_RECORD, clash) == [])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.sampled_from(CONSUMED_COLUMNS),
+                          st.sampled_from(FIELD_ALPHABET)),
+                min_size=1, max_size=3))
+@example([(36, ".0000")])  # alpha_air zero
+@example([(4, "    0.000000")])  # wavenumber zero
+@example([(41, "-.000")])  # alpha_self -0.0, which passes its check
+@example([(41, "-")])  # alpha_self -0.31
+@example([(16, "-1.000E-25")])  # negative intensity
+@example([(16, "1.000E-100")])  # a three-digit exponent
+@example([(1, "01")])  # a leading zero: gas 1, a wanted species
+@example([(3, "A")])  # a letter isotopologue id
+def test_edited_unwanted_record_parses_as_the_reference(edits):
+    """Each edit writes its text from a 1-based column of the record."""
+    record = list(UNWANTED_RECORD)
+    for column, chars in edits:
+        record[column - 1:column - 1 + len(chars)] = chars
+    text = SMALL_CATALOG + "".join(record) + "\n"
+    wanted = SMALL_WANTED | {(1, 1)}
     for floor in (0.0, DEFAULT_INTENSITY_FLOOR):
         assert (_outcome(parse_line_catalog, text, wanted, floor)
                 == _outcome(spectro._parse_records, text, wanted, floor))
