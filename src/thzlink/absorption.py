@@ -180,6 +180,8 @@ def kappa_over_grid(medium: Medium, freqs, env: Environment) -> np.ndarray:
 def _check_path_length(d: float):
     if not d >= 0:
         raise DomainError(f"path length must be >= 0, got {d!r}")
+    if d == math.inf:
+        raise DomainError(f"path length must be finite, got {d!r}")
 
 
 def _beer_lambert(optical_depth) -> tuple:

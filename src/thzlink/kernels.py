@@ -11,22 +11,15 @@ per-point factors are computed once per call. A lines x points pair costs
 the two poles, the cutoff test (skipped when no pair is farther apart than
 the cutoff) and a weighted sum.
 
-The pairs' terms split where they stop depending on the row:
-_center_terms computes (f - f_c)^2, (f + f_c)^2 and the cutoff mask, and
-_weighted_poles adds alpha^2, takes the reciprocals, weights and masks.
-Every call runs both, in one of three pair layouts:
+Every call runs _weighted_poles in one of two pair layouts:
 
 - tiles, for a call of more than BLOCK_CELLS pairs at a scalar (T, p):
   each block of points takes slices of (points, lines) copies of the line
   factors, tiled once per call, and its points repeated once per line, so
   that no pass broadcasts a column of points against a row of lines, which
   costs about twice a same-shape pass;
-- shared centers, for a call of more than BLOCK_CELLS pairs at per-row T
-  and one p over one row of points: f_c is the same in every row, so the
-  center terms of a block of points are computed once and serve every
-  block of rows;
-- broadcast views, for one-block calls, and for per-row p or per-row
-  points, whose pairs differ by row.
+- broadcast views, for one-block calls, and for per-row T, per-row p or
+  per-row points, whose line factors or points differ by row.
 """
 
 from __future__ import annotations
@@ -237,39 +230,23 @@ def _factors(freqs, lines: LineArrays, t_s, p, cutoff: float):
     return shape, (freqs, g, f_c, alpha2, weight, narrow, cutoff)
 
 
-def _center_terms(f, f_c, cutoff):
-    """The poles' terms that do not depend on the row's temperature, at the
-    pairs of point and line operands that broadcast to (..., K, lines):
-    (f - f_c)^2, (f + f_c)^2 and the cutoff mask, None at an inf cutoff.
-    Rows at one pressure over one row of points share f_c, so one set of
-    them serves every row."""
-    dm = f - f_c
-    mask = np.abs(dm) > cutoff if cutoff < np.inf else None
-    dm *= dm
-    dp = f + f_c
-    dp *= dp
-    return dm, dp, mask
-
-
-def _weighted_poles(f, f_c, alpha2, weight, narrow, cutoff,
-                    centers=None) -> np.ndarray:
+def _weighted_poles(f, f_c, alpha2, weight, narrow, cutoff) -> np.ndarray:
     """w_j times the poles, 0 beyond the cutoff, at the (..., K, lines)
     pairs, for operands that broadcast to them: as _broadcast's views or
-    _tiled's same-shape copies. ``centers`` are _center_terms of ``f`` and
-    ``f_c`` computed once for several blocks of rows, and only read; without
-    them, they are computed here. With ``narrow`` (some alpha^2
-    underflowed), a point on such a line's center, where its pole leaves
-    float64, raises DomainError.
+    _tiled's same-shape copies. With ``narrow`` (some alpha^2 underflowed),
+    a point on such a line's center, where its pole leaves float64, raises
+    DomainError.
 
     Every layout gives each pair the same operations, and lines run along
     the last, contiguous axis, so numpy sums each point's lines in the same
     (pairwise) order whatever the operands' shapes, and a point's kappa has
     the same bits alone, in any block or in any row."""
-    dm2, dp2, mask = (_center_terms(f, f_c, cutoff) if centers is None
-                      else centers)
+    dm = f - f_c
+    mask = np.abs(dm) > cutoff if cutoff < np.inf else None
     # in place after the first pass, as allocating temporaries costs more
     # than their arithmetic
-    terms = dm2 + alpha2
+    dm *= dm
+    terms = dm + alpha2
     # only a line whose alpha^2 is below _TINY can put a denominator there
     if narrow and not terms.min() >= _TINY:
         at = int(terms.argmin())
@@ -278,10 +255,9 @@ def _weighted_poles(f, f_c, alpha2, weight, narrow, cutoff,
             f"Hz is on the center of line {at % terms.shape[-1]}, whose "
             f"half-width squared underflows float64")
     np.reciprocal(terms, out=terms)
-    # dp2 is this call's own unless ``centers`` were passed in, so at the
-    # pairs' shape it takes the second denominator in place
-    dp = np.add(dp2, alpha2, out=dp2 if centers is None
-                and dp2.shape == terms.shape else None)
+    dp = f + f_c
+    dp *= dp
+    dp = np.add(dp, alpha2, out=dp if dp.shape == terms.shape else None)
     terms += np.reciprocal(dp, out=dp)
     terms *= weight
     if mask is not None:
@@ -335,24 +311,10 @@ def kappa_totals(freqs, lines: LineArrays, t_s, p,
     points = max(1, min(shape[-1], BLOCK_CELLS // len(lines)))
     out = np.empty(shape)
     by_row = out.reshape(-1, shape[-1])
-    f_c, alpha2, weight, narrow, cutoff = per_line
-    if alpha2.ndim == 2 and f.ndim == f_c.ndim == 1:
-        # per-row t_s at one p over one row of points: f_c is the same in
-        # every row, so a block of points' center terms serve every block
-        # of rows, which are therefore the inner loop
-        for k in range(0, shape[-1], points):
-            cols = slice(k, k + points)
-            centers = _center_terms(f[cols, None], f_c, cutoff)
-            for rows, (g_rows, *line_rows) in row_blocks(
-                    len(by_row), len(lines) * points, g, alpha2, weight):
-                by_row[rows, cols] = g_rows[:, cols] * _weighted_poles(
-                    *_broadcast(f[cols], f_c, *line_rows, narrow, cutoff),
-                    centers).sum(axis=-1)
-        return out
     # tiled once per call at a scalar condition; per-row line factors stay
     # views, as tiling them per block would cost about the copies it saves
     tiles = [np.tile(x, (max(1, BLOCK_CELLS // len(lines)), 1))
-             for x in per_line[:3]] if alpha2.ndim == 1 else None
+             for x in per_line[:3]] if per_line[1].ndim == 1 else None
     for rows, (f, g, *per_line) in row_blocks(len(by_row),
                                               len(lines) * points, *terms):
         for k in range(0, shape[-1], points):

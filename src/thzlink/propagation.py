@@ -231,8 +231,9 @@ def link_budget_db(geom: LinkGeometry, medium: Medium, env: Environment,
     The absorption term uses the exact 10*log10(e) constant so the ledger
     sum equals the linear-domain result to rounding error.
     """
-    if not p_t > 0:
-        raise DomainError(f"transmit power must be > 0, got {p_t!r}")
+    if not 0 < p_t < math.inf:
+        raise DomainError(f"transmit power must be finite and > 0, got "
+                          f"{p_t!r}")
     l_d = dielectric_path_loss(geom, f, medium.epsilon_r)
     kappa = float(kappa_over_grid(medium, (f,), env)[0])
     p_t_dbw = db(p_t)

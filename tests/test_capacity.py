@@ -73,16 +73,17 @@ class TestNoiseTemperature:
 
     def test_negative_path_rejected(self, default_medium, env, band):
         """The noise formula checks d as maa does."""
-        message = "path length must be >= 0, got -0.001"
-        for noise in (
-                lambda: molecular_noise_temperature(default_medium, env,
-                                                    1.1e12, -1.0e-3),
-                lambda: noise_model(default_medium, env, band, -1.0e-3),
-                lambda: noise_power(default_medium, env, band, -1.0e-3),
-                lambda: maa(default_medium, 1.1e12, env, -1.0e-3)):
-            with pytest.raises(DomainError) as excinfo:
-                noise()
-            assert str(excinfo.value) == message
+        for d, message in ((-1.0e-3, "path length must be >= 0, got -0.001"),
+                           (math.inf, "path length must be finite, got inf")):
+            for noise in (
+                    lambda: molecular_noise_temperature(default_medium, env,
+                                                        1.1e12, d),
+                    lambda: noise_model(default_medium, env, band, d),
+                    lambda: noise_power(default_medium, env, band, d),
+                    lambda: maa(default_medium, 1.1e12, env, d)):
+                with pytest.raises(DomainError) as excinfo:
+                    noise()
+                assert str(excinfo.value) == message
 
     def test_point_is_the_noise_model_cell_bitwise(self, default_medium,
                                                      env, band):

@@ -336,11 +336,12 @@ def test_center_of_a_narrow_line_in_a_later_row_block_names_it(
     assert str(raised.value) == str(one_point.value)
 
 
-def test_wide_temperature_rows_keep_shared_terms_within_the_budget(
+def test_wide_temperature_rows_keep_center_terms_within_the_budget(
         wide_medium, env):
-    """Rows that differ only in temperature share one block's center terms
-    at a time, so with 1 100 lines the peak is the scalar-condition bound
-    plus one block set of those terms, not the rows' lines x points."""
+    """Each block of rows that differ only in temperature computes its own
+    center terms, one block at a time, so with 1 100 lines the peak is the
+    scalar-condition bound plus one block set of those terms, not the rows'
+    lines x points."""
     lines = wide_medium.packed
     freqs = np.linspace(0.5e12, 3.5e12,
                         20 * kernels.BLOCK_CELLS // len(lines) + 7)
@@ -351,8 +352,8 @@ def test_wide_temperature_rows_keep_shared_terms_within_the_budget(
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     # the bound of test_one_row_is_split_by_the_pair_budget over the call's
-    # cells, plus (f - f_c)^2, (f + f_c)^2 and the mask counted as three
-    # blocks; one row's center terms alone would be 3 x 20 blocks
+    # cells, plus one block's (f - f_c)^2, (f + f_c)^2 and mask counted as
+    # three blocks; one row's center terms alone would be 3 x 20 blocks
     assert peak < 8 * (8 * cells + 8 * kernels.BLOCK_CELLS) + 3 * (
         8 * kernels.BLOCK_CELLS)
 

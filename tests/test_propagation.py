@@ -201,9 +201,10 @@ class TestLinkBudget:
         with pytest.raises(DomainError, match="frequency must be > 0"):
             link_budget_db(geom, Medium(composition={}), env, f, 1.0e-6)
 
-    def test_rejects_non_positive_power(self, geom, env, water_medium):
+    @pytest.mark.parametrize("p_t", [0.0, math.inf])
+    def test_rejects_non_positive_power(self, geom, env, water_medium, p_t):
         with pytest.raises(DomainError):
-            link_budget_db(geom, water_medium, env, 1.0e12, 0.0)
+            link_budget_db(geom, water_medium, env, 1.0e12, p_t)
 
 
 def test_two_ray_argument_distance_override(geom):

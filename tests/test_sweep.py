@@ -357,10 +357,10 @@ def test_kernel_bits_do_not_depend_on_the_block_budget(medium_name, request,
                                                        env, monkeypatch):
     """kappa_totals has the same bits at 1 << 12 cells a block and at the
     default budget: at a scalar condition over one long row and over a grid
-    of band rows (the tiled layout), and at per-row temperatures (shared
-    centers) and per-row pressures (broadcast views) over 7 and 40 rows of
-    65 points; with the 35 default lines the 7 rows are one block at the
-    default budget and several at 1 << 12."""
+    of band rows (the tiled layout), and at per-row temperatures and per-row
+    pressures (broadcast views) over 7 and 40 rows of 65 points; with the
+    35 default lines the 7 rows are one block at the default budget and
+    several at 1 << 12."""
     lines = request.getfixturevalue(medium_name).packed
     freqs = np.linspace(0.4e12, 3.4e12, 2000)
     grid = centered_band_grid(np.linspace(1.0e12, 2.0e12, 40), 1.0e11,
