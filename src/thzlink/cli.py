@@ -280,8 +280,15 @@ _POW10 = np.array([float(10**k) for k in range(23)])
 _PAIRS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(),
                        np.uint16)
 _LEAD = np.frombuffer(b"0.1.2.3.4.5.6.7.8.9.", np.uint16)
-_EXP_SIGN = np.frombuffer(b"e+e-", np.uint16)
-_CELL = 18  # len("d.dddddddddddde+XX")
+# 0000 .. 9999 and e-99 .. e+99, four characters per uint32 in that order
+_GROUPS = np.stack(np.broadcast_arrays(_PAIRS[:, None], _PAIRS), -1)
+_GROUPS = _GROUPS.view(np.uint32).ravel()
+_EXPONENTS = np.stack([np.frombuffer(b"e-" * 99 + b"e+" * 100, np.uint16),
+                       np.concatenate([_PAIRS[:0:-1], _PAIRS])], -1)
+_EXPONENTS = _EXPONENTS.view(np.uint32).ravel()
+# "d.dddddddddddde+XX" and the ',' after it, at their offsets in a CSV row
+_CELL_BYTES = np.dtype([("lead", np.uint16), ("groups", np.uint32, 3),
+                        ("exp", np.uint32), ("comma", np.uint8)])
 
 
 def _product_error(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -295,9 +302,12 @@ def _product_error(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return ((a1 * b1 - a * b) + a1 * b2 + a2 * b1) + a2 * b2
 
 
-def _e12_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``format(v, ".12e")`` of each v in ``x`` as _CELL bytes, shape
-    x.shape + (_CELL,), and a mask of the cells that hold it exactly.
+def _e12_cells(x: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Write ``format(v, ".12e")`` of each v in ``x`` into ``cells``, a
+    _CELL_BYTES view of x's shape, and return a mask of the cells that hold
+    it exactly. A cell's "d." is ``lead``, its twelve decimals are three
+    groups of four digits, and "e+XX" or "e-XX" is ``exp``; each is one
+    lookup, and its ',' is left as it is.
 
     For v > 0 with e = floor(log10 v) and k = 12 - e, |k| <= 22 makes 10^|k|
     exact, so m = v 10^k takes one rounding; m < 2^53 and ulp(m) <= 2^-9,
@@ -332,42 +342,41 @@ def _e12_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # every digit and exponent of a declined cell indexes the tables safely
     n = np.where(ok, n, 1e12).astype(np.int64)
     e = np.where(ok, e, 0.0).astype(np.intp)
-    out = np.empty(x.shape + (_CELL // 2,), np.uint16)
-    # the leading digit, then each pair as n // 10^i less 100 times the
-    # digits before it: integer floor division is exact, and numpy's is
-    # several times faster than its remainder
+    # each group is n // 10^i less 10^4 times the digits before it: integer
+    # floor division is exact, and several times faster than numpy's remainder
     ahead = n // 10**12
-    out[..., 0] = _LEAD[ahead]
-    for j, unit in enumerate((10**10, 10**8, 10**6, 10**4, 10**2), 1):
+    cells["lead"] = _LEAD[ahead]
+    groups = cells["groups"]
+    for j, unit in enumerate((10**8, 10**4)):
         digits = n // unit
-        out[..., j] = _PAIRS[digits - ahead * 100]
+        groups[..., j] = _GROUPS[digits - ahead * 10**4]
         ahead = digits
-    out[..., 6] = _PAIRS[n - ahead * 100]
-    out[..., 7] = _EXP_SIGN[(e < 0).view(np.uint8)]
-    out[..., 8] = _PAIRS[np.abs(e)]
-    return out.view(np.uint8), ok
+    groups[..., 2] = _GROUPS[n - ahead * 10**4]
+    cells["exp"] = _EXPONENTS[e + 99]
+    return ok
 
 
 def csv_blocks(result: SweepResult) -> Iterator[str]:
     """render_csv's text: the header, then one block of row_blocks rows at
-    a time. A block's cells are formatted together into one byte matrix,
-    each followed by a ',' (the last opens the empty gap column), and
-    decoded once; rows with a gap or a cell _e12_cells declines are then
-    replaced by _cell_rows'."""
+    a time. One byte matrix, allocated once with its ',' after each cell
+    (the last opens the empty gap column) and its '\n's, takes each block's
+    cells in its leading rows from _e12_cells and is decoded to a new str
+    before the next block overwrites it; rows with a gap or a cell
+    _e12_cells declines are then replaced by _cell_rows'."""
     yield ",".join(_header(result)) + "\n"
     columns = [result.samples, *(values for values, _ in
                                  result.cells.values())]
     n_cols = len(columns)
-    width = n_cols * (_CELL + 1) + 1  # characters in a row, with its '\n'
+    width = n_cols * _CELL_BYTES.itemsize + 1  # a row's bytes, with '\n'
     for block, _ in row_blocks(len(result.samples), n_cols + 1):
-        cells, ok = _e12_cells(np.stack([c[block] for c in columns], axis=1))
-        n_rows = len(cells)
-        matrix = np.empty((n_rows, width), np.uint8)
-        row_cells = matrix[:, :-1].reshape(n_rows, n_cols, _CELL + 1)
-        row_cells[..., :_CELL] = cells
-        row_cells[..., _CELL] = ord(",")
-        matrix[:, -1] = ord("\n")
-        text = str(matrix.data, "ascii")
+        x = np.stack([c[block] for c in columns], axis=1)
+        if block.start == 0:  # the first block is the longest
+            matrix = np.empty((len(x), width), np.uint8)
+            cells = matrix[:, :-1].view(_CELL_BYTES)
+            cells["comma"] = ord(",")
+            matrix[:, -1] = ord("\n")
+        ok = _e12_cells(x, cells[:len(x)])
+        text = str(matrix[:len(x)].data, "ascii")
         gapped = [codes[block] != 0 for _, codes in result.cells.values()]
         redo = np.flatnonzero(~ok.all(axis=1) | np.any(gapped, axis=0))
         if redo.size:

@@ -19,7 +19,8 @@ from test_grid_fixtures import gap_scenario, null_frequency
 
 import thzlink
 from thzlink import config
-from thzlink.cli import _e12_cells, main, render_csv, render_table
+from thzlink.cli import (_CELL_BYTES, _e12_cells, csv_blocks, main,
+                         render_csv, render_table)
 from thzlink.config import DEFAULT_SCENARIO, load_scenario
 from thzlink.constants import LIGHT_SPEED
 from thzlink.kernels import BLOCK_CELLS
@@ -432,27 +433,54 @@ def adversarial_cells() -> list[float]:
     return cells
 
 
+def e12_cells(xs):
+    """_e12_cells' cells of a 1-D ``xs`` as (len(xs), 18) bytes, and its
+    mask, written into a matrix of one cell and its ',' a row."""
+    matrix = np.zeros((len(xs), _CELL_BYTES.itemsize), np.uint8)
+    ok = _e12_cells(xs, matrix.view(_CELL_BYTES)[:, 0])
+    return matrix[:, :-1], ok
+
+
 def test_cell_formatter_is_exact_where_it_accepts():
     """_e12_cells' accepted cells are format(x, ".12e") byte for byte; it
     decides ties exactly and declines 3-digit exponents and values that
     are not > 0."""
     xs = np.array(adversarial_cells())
-    cells, ok = _e12_cells(xs)
+    cells, ok = e12_cells(xs)
     for x, cell, accepted in zip(xs.tolist(), cells, ok.tolist()):
         if accepted:
             assert cell.tobytes().decode("ascii") == format(x, ".12e")
     # sweep-like cells, a power of ten and a carry into the exponent
     carry = math.nextafter(9999999999999.5, math.inf)
-    cells, ok = _e12_cells(np.array([1.5e12, 28.28853622645, 1e-5, carry]))
+    cells, ok = e12_cells(np.array([1.5e12, 28.28853622645, 1e-5, carry]))
     assert ok.all()
     assert cells[3].tobytes() == b"1.000000000000e+13"
     ties = [1000000000000.5, 2000000000000.5]
-    cells, ok = _e12_cells(np.array(ties))
+    cells, ok = e12_cells(np.array(ties))
     assert ok.all()
     assert [cell.tobytes().decode("ascii") for cell in cells] == [
         format(x, ".12e") for x in ties]
-    _, ok = _e12_cells(np.array([1e100, -1.5, 0.0, math.inf, math.nan]))
+    _, ok = e12_cells(np.array([1e100, -1.5, 0.0, math.inf, math.nan]))
     assert not ok.any()
+
+
+def test_cell_formatter_prints_every_digit_group_lead_and_exponent():
+    """Each four-digit group 0000-9999 in each of a cell's three group
+    places, each lead digit 1-9 and each exponent -10..34 that the fast
+    path takes is printed as format(x, ".12e") prints it."""
+    group = np.arange(3 * 10**4) % 10**4
+    lead = np.arange(3 * 10**4) % 9 + 1
+    place = 10 ** (8 - 4 * (np.arange(3 * 10**4) // 10**4))
+    exponent = np.arange(3 * 10**4) % 45 - 10
+    # the float nearest 10^23 is below it, so its m < 10^12 is declined: a 1
+    # in another group keeps every cell off a power of ten
+    digits = lead * 10**12 + group * place + np.where(place == 1, 10**8, 1)
+    xs = np.array([exact_decimal_float(int(n), int(e) - 12)
+                   for n, e in zip(digits, exponent)])
+    cells, ok = e12_cells(xs)
+    assert ok.all()
+    expected = "".join(format(x, ".12e") for x in xs.tolist())
+    assert cells.tobytes().decode("ascii") == expected
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -487,6 +515,28 @@ def test_csv_block_with_every_fallback_case_matches_reference():
     assert lines[-1].endswith(",,opaque")
     assert [lines[i + 1].split(",")[1] for i in (7, 19, 31)] == [
         "-3.500000000000e+00", "1.250000000000e+150", "1.000000000000e+12"]
+
+
+def test_reused_block_matrix_leaks_nothing_between_blocks():
+    """Three whole render blocks and a shorter tail, each written into the
+    same byte matrix: the last row of the first block takes the fallback
+    through a gap, the tail's first row through a declined cell, and each
+    block's text stays its own after the next is written."""
+    step = BLOCK_CELLS // 3  # rows of a block: the axis, v and the gap
+    n = 3 * step + 100
+    samples = np.linspace(1.0e12, 3.0e12, n)
+    values = np.linspace(20.0, 80.0, n)
+    values[3 * step] = -1.5
+    reasons = [""] * n
+    reasons[step - 1] = "opaque"
+    result = one_column_result(samples, values, reasons)
+    text = render_csv(result)
+    assert text == reference_csv(result)
+    assert "".join(list(csv_blocks(result))) == text
+    lines = text.splitlines()
+    assert lines[step].endswith(",,opaque")
+    assert lines[3 * step + 1].split(",")[1] == "-1.500000000000e+00"
+    assert len(lines) == n + 1
 
 
 @pytest.mark.parametrize("argv", [
