@@ -176,18 +176,18 @@ def psi_grid(geom: LinkGeometry, epsilon_r: float, f_k, kappa, d, t_s,
              delta_f) -> tuple[np.ndarray, np.ndarray]:
     """Noise-loss floors Psi [W] over a rows x subbands grid.
 
-    ``f_k`` and ``kappa`` are (K,) or (R, K); ``d``, ``t_s`` and
-    ``delta_f`` are scalars or (R, 1) columns; everything broadcasts to
-    (R, K). Opaque cells saturate to +inf. Also returns the mask of cells
-    whose subband center sits on a two-ray null, where the floor is
-    meaningless. Raises DomainError as two_ray_grid does.
+    ``f_k`` is (K,) or (R, K), and ``kappa`` too or one such per model,
+    (M, ...); ``d``, ``t_s`` and ``delta_f`` are scalars or (R, 1)
+    columns. Opaque cells saturate to +inf. Also returns the rows x
+    subbands mask of cells whose subband center sits on a two-ray null,
+    where the floor is meaningless. Raises DomainError as two_ray_grid does.
     """
     l_d, null = two_ray_grid(geom, f_k, epsilon_r, d)
     with np.errstate(over="ignore"):
         bracket = t_s + (t_s + T_REF) * np.expm1(kappa * d)
         psi = BOLTZMANN * l_d * delta_f * bracket
-    if null.shape != psi.shape:  # rows that share f_k and d share its nulls
-        null = np.broadcast_to(null, psi.shape)
+    if null.shape != psi.shape[-2:]:  # rows sharing f_k and d share nulls
+        null = np.broadcast_to(null, psi.shape[-2:])
     return psi, null
 
 
@@ -231,9 +231,10 @@ def water_filling_grid(psi, p_t: float) -> tuple[np.ndarray, np.ndarray]:
     Returns the (R, K) allocations and the (R,) water levels. A zero
     budget yields all-zero allocations with each level at the row's
     lowest floor. Raises DomainError for a budget that is negative or not
-    finite, a floor that is not > 0, or a row that funds no subband: its
+    finite, a floor that is not > 0, a row that funds no subband (its
     floors are all infinite, or so large that the budget rounds away or
-    that their sum overflows float64.
+    that their sum overflows float64), or a row whose floors to fund sum
+    past float64.
     """
     psi = np.asarray(psi, dtype=np.float64)
     if not (psi > 0).all():
@@ -247,7 +248,8 @@ def water_filling_grid(psi, p_t: float) -> tuple[np.ndarray, np.ndarray]:
     # not feasible (infinite floors are never funded, overflow or not)
     with np.errstate(over="ignore"):
         theta_by_m = (p_t + psi_sorted.cumsum(axis=-1)) / m
-    feasible = (theta_by_m > psi_sorted) & (theta_by_m < np.inf)
+    finite = theta_by_m < np.inf
+    feasible = (theta_by_m > psi_sorted) & finite
     funds = feasible.any(axis=-1)
     if not funds.all():
         lowest = float(psi_sorted[..., 0][~funds].flat[0])
@@ -268,6 +270,17 @@ def water_filling_grid(psi, p_t: float) -> tuple[np.ndarray, np.ndarray]:
         rows = m_star == count if len(counts) > 1 else ...
         funded[rows] = psi_sorted[rows, :count].sum(axis=-1)
     theta = (p_t + funded) / m_star
+    # a level past the active set that overflowed did not rule its floor
+    # out: if that floor is below theta, the floors to fund overflow
+    # (count_nonzero finds any overflow at a third of .all()'s cost)
+    if np.count_nonzero(finite) < finite.size:
+        past = np.minimum(m_star, psi.shape[-1] - 1)[:, None]
+        floor = np.take_along_axis(psi_sorted, past, axis=-1)[:, 0]
+        floor = floor[~np.take_along_axis(finite, past, axis=-1)[:, 0]
+                      & (floor < theta)]
+        if floor.size:
+            raise DomainError(f"no water level: the floors to fund, up to "
+                              f"{float(floor[0])!r} W, sum past float64")
     return np.maximum(theta[..., None] - psi, 0.0), theta
 
 

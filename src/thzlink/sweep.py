@@ -163,7 +163,9 @@ def _blocks(scenario: Scenario, varies: str, bounds: tuple[float, float],
     row_blocks block of the frequencies a row carries: "f" (1), path loss
     at each distance in ``values``; "f_k", the band center (K), capacity;
     "t_s" or "p" (kPa), both at each frequency in ``values`` (K + 1); "d"
-    (K), capacity per scheme of the allocation ``values``. Checks that
+    (K), capacity per scheme of the allocation ``values``. A block's
+    kappas are one kernel call per model ("d": before the blocks), and a
+    column group's two-ray term and floors serve both models. Checks that
     name the axis, its ends or a label, or that scan the whole axis (each
     row's band, then the kernel and two-ray terms at the ends, which bound
     every row's), run before the first block."""
@@ -174,8 +176,8 @@ def _blocks(scenario: Scenario, varies: str, bounds: tuple[float, float],
                   "p": ("pressure", "kPa")}[varies]
     schemes = ([(f"_{s}", s) for s in ("waterfilling", "flat")
                 if values in (s, "both")] if varies == "d"
-               else [("", "waterfilling")])
-    if not schemes:
+               else [] if varies == "f" else [("", "waterfilling")])
+    if varies == "d" and not schemes:
         raise DomainError(f"allocation must be waterfilling, flat, or both, "
                           f"got {values!r}")
     samples = _axis_values(*bounds, n_points, log_axis)
@@ -185,77 +187,75 @@ def _blocks(scenario: Scenario, varies: str, bounds: tuple[float, float],
     if varies == "p" and lowest > 0 and not lowest / ATM_IN_KPA > 0:
         raise ValidationError([f"pressure {lowest!r} kPa underflows to 0 "
                                f"atm in float64"])
+    per_row = 1 if varies == "f" else band.k + (varies in ("t_s", "p"))
+    # per group of columns: suffix, the first of its per_row kappas, the
+    # path-loss frequency leading them and its d, and the band
+    groups, kernel_freqs = [("", 0, None, None, band.f_k, band.delta_f)], None
     if varies == "f":
         values = [geom.d] if values is None else values
         labels = _labels(values, "m")
     elif varies == "d":
         _check_distance(geom, lowest)
         _check_distance(geom, float(samples[-1]))
-    # per group of columns: suffix, kernel frequencies (None: the model's
-    # kappas), the path-loss one leading them and its d, and the band
-    fixed_groups = [("", None, None, None, band.f_k, band.delta_f)]
-    fixed = ([kappa_over_grid(medium, band.f_k, env) for _, medium in models]
-             if varies == "d" else [None, None])
+        fixed = np.stack([kappa_over_grid(medium, band.f_k, env)
+                          for _, medium in models])[:, None]
     if varies in ("t_s", "p"):
         values = [1.0e12, 1.2e12, 1.5e12] if values is None else values
         # every row's environment is valid when the first row's is
         Environment(t_s=lowest if varies == "t_s" else env.t_s,
                     p=lowest / ATM_IN_KPA if varies == "p" else env.p)
         labels = _labels(values, "Hz")
-        plans = [BandPlan.centered(f, band.b, band.k) for f in values]
-        fixed_groups = [(f"_f{label}", np.concatenate(([f], plan.f_k)), f,
-                         geom.d, plan.f_k, plan.delta_f)
-                        for label, f, plan in zip(labels, values, plans)]
+        f_k, b = centered_band_grid(values, band.b, band.k)
+        kernel_freqs = np.column_stack((values, f_k)).ravel()  # f, its band
+        groups = [(f"_f{label}", i * per_row, f, geom.d, f_k[i], b[i] / band.k)
+                  for i, (label, f) in enumerate(zip(labels, values))]
 
-    def cells_of(x: np.ndarray, capacity: bool = True) -> dict:
+    def cells_of(x: np.ndarray, schemes=schemes) -> dict:
         t_s = x[:, None] if varies == "t_s" else env.t_s
         p = x[:, None] / ATM_IN_KPA if varies == "p" else env.p
         d = x[:, None] if varies == "d" else geom.d
-        groups, kappas = fixed_groups, fixed
-        if varies == "f":  # one kernel call per model serves each distance
-            kappas = [kappa_over_grid(medium, x, env)[:, None]
-                      for _, medium in models]
-            groups = [(f"_d{label}", None, x, d_f, None, None)
-                      for label, d_f in zip(labels, values)]
+        freqs, block_groups = kernel_freqs, groups
+        if varies == "f":  # each distance reads the one column
+            freqs = x
+            block_groups = [(f"_d{label}", 0, x, d_f, None, None)
+                            for label, d_f in zip(labels, values)]
         elif varies == "f_k":
-            f_k, b = centered_band_grid(x, band.b, band.k)
-            groups = [("", f_k, None, None, f_k, b[:, None] / band.k)]
+            freqs, b = centered_band_grid(x, band.b, band.k)
+            block_groups = [("", 0, None, None, freqs, b[:, None] / band.k)]
+        # the block's one kernel call per model, as (models, rows, columns)
+        kappas = fixed if varies == "d" else np.stack([kernels.kappa_totals(
+            freqs, medium.packed, t_s, p, DEFAULT_WING_CUTOFF)
+            for _, medium in models]).reshape(len(models), len(x), -1)
         cells = {}
-        for suffix, freqs, f, d_f, f_k, delta_f in groups:
-            if freqs is not None:
-                kappas = [kernels.kappa_totals(freqs, medium.packed, t_s, p,
-                                               DEFAULT_WING_CUTOFF)
-                          for _, medium in models]
+        for suffix, first, f, d_f, f_k, delta_f in block_groups:
+            kappa = kappas[..., first:first + per_row]
             if f is not None:  # one two-ray term serves both models
                 *_, l_db, l_codes = path_loss_grid(
-                    geom, eps, f, np.stack([k[:, 0] for k in kappas]),
-                    _check_distance(geom, d_f))
-            for i, ((model, _), kappa) in enumerate(zip(models, kappas)):
-                if f is not None:
-                    cells[f"L_db_{model}{suffix}"] = (l_db[i], l_codes[i])
-                    kappa = kappa[:, 1:]
-                if not capacity or f_k is None:
-                    continue
+                    geom, eps, f, kappa[..., 0], _check_distance(geom, d_f))
+                kappa = kappa[..., 1:]
+            if schemes:  # and one floor grid
                 psi, null = psi_grid(geom, eps, f_k, kappa, d, t_s, delta_f)
                 ok = ~null.any(axis=-1)  # a subband on a null gaps its row
-                psi = psi[ok]
+                psi = psi[:, ok]
                 widths = delta_f[ok, 0] if np.ndim(delta_f) == 2 else delta_f
                 codes = (~ok).view(np.uint8)  # 1: "two-ray-null"
+            for i, (model, _) in enumerate(models):
+                if f is not None:
+                    cells[f"L_db_{model}{suffix}"] = (l_db[i], l_codes[i])
                 for tag, scheme in schemes:
-                    p_k = (water_filling_grid(psi, scenario.p_t)[0]
+                    p_k = (water_filling_grid(psi[i], scenario.p_t)[0]
                            if scheme == "waterfilling" else
-                           np.full(psi.shape, scenario.p_t / psi.shape[-1]))
+                           np.full(psi[i].shape, scenario.p_t / band.k))
                     bps = np.full(len(x), np.nan)
-                    bps[ok] = allocation_capacity_grid(p_k, psi, widths)
+                    bps[ok] = allocation_capacity_grid(p_k, psi[i], widths)
                     cells[f"C_bps_{model}{suffix}{tag}"] = (bps, codes)
         return cells
 
-    per_row = 1 if varies == "f" else band.k + (varies in ("t_s", "p"))
     if len(samples) > kernels.BLOCK_CELLS // per_row:
         if varies == "f_k":  # the first row without a band names itself
             for rows, _ in kernels.row_blocks(len(samples), per_row):
                 centered_band_grid(samples[rows], band.b, band.k)
-        cells_of(samples[[0, -1]], capacity=False)
+        cells_of(samples[[0, -1]], schemes=())
     for rows, _ in kernels.row_blocks(len(samples), per_row):
         yield SweepResult(axis, unit, samples[rows], cells_of(samples[rows]))
 

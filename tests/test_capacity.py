@@ -37,6 +37,18 @@ class TestBandPlan:
         with pytest.raises(ValidationError):
             BandPlan.from_edges(-1.0e12, 1.0e12, 4)
 
+    @pytest.mark.parametrize("b, k, f_k, message", [
+        (1.0, 0, [], "subband count must be an integer >= 1, got 0"),
+        (0.0, 1, [1.0], "bandwidth must be > 0, got 0.0"),
+        (1.0, 2, [1.0, 2.0, 3.0],
+         "expected 2 center frequencies, got shape (3,)"),
+        (1.0, 2, [0.0, 1.0], "every center frequency must be > 0")],
+        ids=["k", "b", "shape", "positive"])
+    def test_names_each_invalid_field(self, b, k, f_k, message):
+        with pytest.raises(ValidationError) as excinfo:
+            BandPlan(b=b, k=k, f_k=np.array(f_k))
+        assert excinfo.value.violations == [message]
+
     def test_rejects_non_increasing_centers(self):
         with pytest.raises(ValidationError):
             BandPlan(b=1e11, k=2, f_k=np.array([2.0e12, 1.0e12]))
@@ -314,6 +326,22 @@ class TestWaterFilling:
                            match=r"budget 1e-06 W is lost to rounding beside "
                                  r"the lowest floor, 1e\+308 W"):
             water_filling_grid(np.array([[1.0e308, 1.0e308]]), 1.0e-6)
+
+    @pytest.mark.parametrize("psi", [np.ones((2, 2)), np.array([])],
+                             ids=["2-D", "empty"])
+    def test_one_row_view_rejects_other_shapes(self, psi):
+        with pytest.raises(DomainError, match="non-empty 1-D array"):
+            water_filling(psi, 1.0)
+
+    def test_grid_rejects_floors_to_fund_whose_sum_overflows(self):
+        """The level of both floors overflows, yet the second floor lies
+        below the first floor's level: funding both as that level would
+        spend twice the budget, and no float64 level funds them."""
+        psi = np.array([[1.0, 2.0], [1.0e308, 1.0e308]])
+        with pytest.raises(DomainError,
+                           match=r"floors to fund, up to 1e\+308 W, sum past "
+                                 r"float64"):
+            water_filling_grid(psi, 1.0e300)
 
     def test_grid_funds_the_floors_below_a_sum_that_overflows(self):
         """Only the level of all three floors overflows; the cheapest floor

@@ -100,6 +100,11 @@ class TestPathloss:
         assert code == 1
         assert "epsilon_r" in err
 
+    def test_scenario_that_is_not_an_object_exits_1(self, capsys, tmp_path):
+        path = write_scenario(tmp_path, [1, 2])
+        err = one_error_line(*run(capsys, "pathloss", "--scenario", path))
+        assert f"scenario {path!r} must hold a JSON object" in err
+
     def test_unknown_flag_exits_1(self, capsys):
         code, _, _ = run(capsys, "pathloss", "--bogus")
         assert code == 1
@@ -226,6 +231,18 @@ class TestSweep:
         assert code == 1
         assert out == ""
         assert f"{flag} expects at least one number" in err
+
+    def test_list_with_a_word_exits_1(self, capsys):
+        code, out, err = run(capsys, "sweep", "--axis", "temperature",
+                             "--points", "3", "--freqs", "1e12,abc")
+        assert (code, out) == (1, "")
+        assert err == ("error: --freqs expects comma-separated numbers: "
+                       "could not convert string to float: 'abc'\n")
+
+    def test_log_axis_from_a_negative_start_exits_2(self, capsys):
+        assert run(capsys, "sweep", "--axis", "frequency", "--log", "--from",
+                   "-1e12") == (
+            2, "", "model error: log-spaced axis needs a positive start\n")
 
     @pytest.mark.parametrize("axis, source", [
         ("frequency", "--from to --to"), ("temperature", "with --freqs"),
@@ -797,6 +814,23 @@ class TestFileAndStreamErrors:
         child.stderr.close()
         assert (child.wait(timeout=120), err) == (1, b"")
 
+    def test_entry_point_closed_early_exits_1_quietly(self):
+        """`python -m thzlink.cli sweep ... | head -n 1` on 200 000 points:
+        the reader leaves while most rows are unwritten, and the run ends
+        with exit 1 and nothing on stderr."""
+        src = os.path.dirname(os.path.dirname(thzlink.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        child = subprocess.Popen(
+            [sys.executable, "-m", "thzlink.cli", "sweep", "--axis",
+             "frequency", "--points", "200000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert child.stdout.readline().startswith(b"frequency_Hz,")
+        child.stdout.close()
+        err = child.stderr.read()
+        child.stderr.close()
+        assert (child.wait(timeout=120), err) == (1, b"")
+
 
 @pytest.mark.parametrize("doc, named", [
     ({"p_t": "abc"}, "p_t must be a number, got a string"),
@@ -830,6 +864,18 @@ def test_scenario_value_of_the_wrong_type_exits_1(capsys, tmp_path, doc,
     path = write_scenario(tmp_path, doc)
     err = one_error_line(*run(capsys, "capacity", "--scenario", path))
     assert named in err
+
+
+def test_scenario_sample_is_the_default_scenario():
+    """README points to data/scenario_sample.json for a scenario's full
+    shape: it holds config.DEFAULT_SCENARIO, key for key and type for
+    type."""
+    path = os.path.join(os.path.dirname(thzlink.__file__), "data",
+                        "scenario_sample.json")
+    with open(path, encoding="utf-8") as handle:
+        sample = json.load(handle)
+    assert (json.dumps(sample, sort_keys=True)
+            == json.dumps(DEFAULT_SCENARIO, sort_keys=True))
 
 
 def test_integral_float_is_an_integer(capsys, tmp_path):

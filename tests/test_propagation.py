@@ -107,6 +107,12 @@ class TestDielectricPathLoss:
                          np.array([[1.0e-4], [d]]))
 
 
+    def test_grid_rejects_permittivity_below_one(self, geom):
+        with pytest.raises(DomainError, match="epsilon_r must be >= 1, got "
+                                              "0.5"):
+            two_ray_grid(geom, np.array([1.0e12]), 0.5, geom.d)
+
+
 class TestLinkGeometry:
     def test_collects_all_violations(self):
         with pytest.raises(ValidationError) as excinfo:

@@ -2,7 +2,7 @@ import math
 import struct
 import tracemalloc
 import warnings
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -138,6 +138,14 @@ def test_round_trip_whole_catalog(catalog_text, full_catalog):
         (again,) = parse_line_catalog(record, {line.species},
                                       intensity_floor=0.0)
         assert again == line
+
+
+def test_serialize_rejects_a_value_wider_than_its_column(full_catalog):
+    """The temperature exponent's column is 4 characters of %.2f."""
+    line = replace(full_catalog[0], temp_exponent=123.0)
+    with pytest.raises(ValueError, match=r"value 123\.0 does not fit in "
+                                         r"4\.2 format"):
+        serialize_line(line)
 
 
 def test_round_trip_preserves_source_text(catalog_text):

@@ -497,6 +497,12 @@ def test_results_are_equal_on_their_columns_not_their_gap_values():
     assert not by_rows(nan, result(capacity=(np.nan, 6.0)))
 
 
+def test_a_result_is_unequal_to_what_is_not_a_result():
+    result = SweepResult("frequency", "Hz", np.array([1.0]), {})
+    assert result.__eq__(5) is NotImplemented
+    assert (result == 5) is False and (result != 5) is True
+
+
 def test_points_cover_sorted_axis(default_scenario):
     result = sweep_capacity_vs_distance(default_scenario, (1e-5, 1e-4), 11)
     xs = [x for x, _ in result.points]
