@@ -291,8 +291,14 @@ def allocation_capacity_grid(p_k, psi, delta_f) -> np.ndarray:
     """
     p_k = np.asarray(p_k, dtype=np.float64)
     funded = p_k > 0
-    ratio = np.divide(p_k, psi, out=np.zeros(funded.shape), where=funded)
-    return delta_f * np.log2(1.0 + ratio).sum(axis=-1)
+    with np.errstate(over="ignore"):
+        ratio = np.divide(p_k, psi, out=np.zeros(funded.shape), where=funded)
+    bits = np.log2(1.0 + ratio)
+    if ratio.max(initial=0.0) == np.inf:  # log2(1 + r) = log2(r), r > 2^53
+        over = ratio == np.inf
+        bits[over] = (np.log2(p_k[over])
+                      - np.log2(np.broadcast_to(psi, over.shape)[over]))
+    return delta_f * bits.sum(axis=-1)
 
 
 def water_filling(psi, p_t: float, delta_f: float | None = None

@@ -318,18 +318,22 @@ def _e12_cells(x: np.ndarray, cells: np.ndarray) -> np.ndarray:
     exact; at 0 the tie is exact, and rint rounds it half to even as the
     format does. Those 13 digits are what the correctly rounded format
     prints. A cell is declined (mask False, bytes meaningless) for v <= 0,
-    NaN or inf, |k| > 22 or m outside [10^12, 10^13)."""
+    NaN or inf, |k| > 22 or m outside [10^12, 10^13). A pass that only
+    such cells, k < 0, ties or carries need runs only where one occurs."""
     ok = (x > 0) & (x < np.inf)
-    x = np.where(ok, x, 1.0)
-    e = np.floor(np.log10(x))
-    k = 12.0 - e
-    ok &= np.abs(k) <= 22
-    k = np.clip(k, -22, 22).astype(np.intp)
-    # one of the two factors is 1.0, so this is one rounding
-    m = x * _POW10[np.maximum(k, 0)] / _POW10[np.maximum(-k, 0)]
+    x = x if ok.all() else np.where(ok, x, 1.0)
+    e = np.floor(np.log10(x)).astype(np.intp)
+    k = 12 - e
+    if k.min() < -22 or k.max() > 22:
+        ok &= np.abs(k) <= 22
+        k = np.clip(k, -22, 22)
+    # a cell's 10^max(k, 0) or 10^max(-k, 0) is 1.0, so this is one rounding
+    m = x * _POW10[np.maximum(k, 0)]
+    if k.min() < 0:
+        m /= _POW10[np.maximum(-k, 0)]
     n = np.rint(m)
     ok &= (m >= 1e12) & (m < 1e13)
-    tie = ok & (np.abs(m - n) == 0.5)
+    tie = np.abs(m - n) == 0.5  # a declined one is finite and replaced below
     if tie.any():
         v, m_tie, scale = x[tie], m[tie], _POW10[np.abs(k[tie])]
         # fl(m 10^|k|) is within a factor 2 of v, so v less it is exact
@@ -337,11 +341,12 @@ def _e12_cells(x: np.ndarray, cells: np.ndarray) -> np.ndarray:
                          (v - m_tie * scale) - _product_error(m_tie, scale))
         n[tie] = np.where(above == 0, n[tie], m_tie + np.copysign(0.5, above))
     carry = n == 1e13  # m in [10^13 - 0.5, 10^13): 1.000000000000e+(e+1)
-    n[carry] = 1e12
-    e += carry
-    # every digit and exponent of a declined cell indexes the tables safely
-    n = np.where(ok, n, 1e12).astype(np.int64)
-    e = np.where(ok, e, 0.0).astype(np.intp)
+    if carry.any():
+        n[carry] = 1e12
+        e += carry
+    if not ok.all():  # every digit and exponent of a declined cell
+        n, e = np.where(ok, n, 1e12), np.where(ok, e, 0)  # indexes safely
+    n = n.astype(np.int64)
     # each group is n // 10^i less 10^4 times the digits before it: integer
     # floor division is exact, and several times faster than numpy's remainder
     ahead = n // 10**12

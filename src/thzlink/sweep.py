@@ -26,7 +26,7 @@ from .capacity import channel_capacity  # noqa: F401 (perfbench patches it)
 from .constants import ATM_IN_KPA
 from .errors import DomainError, ValidationError
 from .propagation import (GAP_REASONS, LinkGeometry, _check_distance,
-                          path_loss_grid)
+                          _with_absorption, two_ray_grid)
 from .spectro import Medium
 
 
@@ -184,6 +184,7 @@ def _blocks(scenario: Scenario, varies: str, bounds: tuple[float, float],
     lowest = float(samples[0])
     models = [("proposed", scenario.medium),
               ("conventional", scenario.medium.without_absorption())]
+    lined = [i for i, (_, medium) in enumerate(models) if medium.lines]
     if varies == "p" and lowest > 0 and not lowest / ATM_IN_KPA > 0:
         raise ValidationError([f"pressure {lowest!r} kPa underflows to 0 "
                                f"atm in float64"])
@@ -230,8 +231,13 @@ def _blocks(scenario: Scenario, varies: str, bounds: tuple[float, float],
         for suffix, first, f, d_f, f_k, delta_f in block_groups:
             kappa = kappas[..., first:first + per_row]
             if f is not None:  # one two-ray term serves both models
-                *_, l_db, l_codes = path_loss_grid(
-                    geom, eps, f, kappa[..., 0], _check_distance(geom, d_f))
+                l_d, null = two_ray_grid(geom, f, eps,
+                                         _check_distance(geom, d_f))
+                _, _, l_d_db, _, l_db, l_codes = _with_absorption(
+                    l_d, null, kappa[lined, :, 0], d_f)
+                lineless = (np.full(len(x), l_d_db),  # kappa d = 0: L is L_d
+                            np.full(len(x), null, np.uint8))
+                path_loss = iter(zip(l_db, l_codes))
                 kappa = kappa[..., 1:]
             if schemes:  # and one floor grid
                 psi, null = psi_grid(geom, eps, f_k, kappa, d, t_s, delta_f)
@@ -239,9 +245,10 @@ def _blocks(scenario: Scenario, varies: str, bounds: tuple[float, float],
                 psi = psi[:, ok]
                 widths = delta_f[ok, 0] if np.ndim(delta_f) == 2 else delta_f
                 codes = (~ok).view(np.uint8)  # 1: "two-ray-null"
-            for i, (model, _) in enumerate(models):
+            for i, (model, medium) in enumerate(models):
                 if f is not None:
-                    cells[f"L_db_{model}{suffix}"] = (l_db[i], l_codes[i])
+                    cells[f"L_db_{model}{suffix}"] = (
+                        next(path_loss) if medium.lines else lineless)
                 for tag, scheme in schemes:
                     p_k = (water_filling_grid(psi[i], scenario.p_t)[0]
                            if scheme == "waterfilling" else

@@ -6,6 +6,7 @@ import pytest
 from thzlink.absorption import (Environment, kappa_over_grid, maa,
                                 medium_kappa)
 from thzlink.capacity import (BandPlan, allocation_capacity,
+                              allocation_capacity_grid,
                               approx_capacity_small_antenna, channel_capacity,
                               flat_allocation_capacity,
                               molecular_noise_temperature, noise_model,
@@ -429,6 +430,19 @@ class TestFlatAllocation:
         wf = water_filling(psi, 1.0, delta_f=1.0).capacity_bits_per_s
         assert wf == pytest.approx(1.0, rel=1e-15)
         assert wf > flat
+
+
+    def test_grid_capacity_where_the_power_ratio_overflows(self):
+        """p_k / psi past float64 takes log2(p_k) - log2(psi) bits, which
+        log2(1 + r) is for every r > 2^53, with no warning; the finite
+        ratios beside it, and a row of them, keep their bits."""
+        p_k = np.array([[1.5625e306, 1.0], [1.0, 0.0]])
+        psi = np.array([[4.0e-9, 3.0], [1.0, 2.0]])
+        bps = allocation_capacity_grid(p_k, psi, 2.0)  # warnings raise
+        huge = np.log2(1.5625e306) - np.log2(4.0e-9)
+        assert bps.tolist() == [2.0 * (huge + np.log2(1.0 + 1.0 / 3.0)),
+                                2.0]
+        assert allocation_capacity(p_k[0], psi[0], 2.0) == bps[0]
 
 
 class TestSmallAntennaApproximation:

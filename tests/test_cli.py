@@ -9,6 +9,7 @@ import stat
 import subprocess
 import sys
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -136,6 +137,17 @@ class TestCapacity:
         assert code == 2
         assert out == ""
         assert "p_t must be finite" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("capacity",), ("capacity", "--allocation", "flat"),
+        ("sweep", "--axis", "temperature", "--points", "3")])
+    def test_huge_finite_power_gives_finite_capacity(self, capsys, argv):
+        """At 1e308 W each subband's p_k / psi overflows float64; the
+        capacity is still finite, and no warning line is printed."""
+        code, out, err = run(capsys, *argv, "--power", "1e308")
+        assert (code, err) == (0, "")
+        assert "bits/s" in out or "C_bps_proposed" in out
+        assert "inf" not in out
 
     def test_flat_allocation_flag(self, capsys):
         _, wf_out, _ = run(capsys, "capacity")
@@ -554,6 +566,101 @@ def test_reused_block_matrix_leaks_nothing_between_blocks():
     assert lines[step].endswith(",,opaque")
     assert lines[3 * step + 1].split(",")[1] == "-1.500000000000e+00"
     assert len(lines) == n + 1
+
+
+def takes_no_general_pass(x: float) -> bool:
+    """x is positive and finite, its np.log10 floors to its exact decimal
+    exponent e, k = 12 - e lies in [0, 22] and x 10^k rounds below 10^13:
+    _e12_cells needs no mask, clip or divide for it."""
+    e = Decimal(x).adjusted()  # floor(log10 x) of the exact value
+    return (-10 <= e <= 12 and np.floor(np.log10(x)) == e
+            and x * float(10 ** (12 - e)) < 1e13)
+
+
+FAST_CELLS = st.one_of(
+    st.floats(1e-10, 1e13),
+    # (n + 0.5) 10^(e-12), nearest: m is a half-integer, or next to one
+    st.builds(lambda n, e: exact_decimal_float(2 * n + 1, e - 12) / 2,
+              st.integers(10**12, 10**13 - 1), st.integers(-10, 12)),
+    # just below 10^(e+1), where m rounds up to 10^13 and carries
+    st.builds(lambda j, e: exact_decimal_float(10**14 - j, e - 13),
+              st.integers(1, 5), st.integers(-10, 12)),
+).filter(takes_no_general_pass)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(FAST_CELLS, min_size=1, max_size=40))
+@example([1000000000000.5, 2000000000000.5, 28.28853622645,
+          math.nextafter(9999999999999.5, math.inf), 9.9999999999995e-10])
+def test_blocks_that_skip_every_general_pass_print_exactly(xs):
+    """A block of cells that need no general-case pass (positive, finite,
+    k in [0, 22]) runs none of them, and its ties and carries are still
+    format(x, ".12e") byte for byte."""
+    cells, ok = e12_cells(np.array(xs))
+    assert ok.all()
+    assert [cell.tobytes().decode("ascii") for cell in cells] == [
+        format(x, ".12e") for x in xs]
+    result = one_column_result(xs, xs[::-1])
+    assert render_csv(result) == reference_csv(result)
+
+
+def test_cells_at_or_above_ten_to_the_thirteen_take_the_divide():
+    """Every cell >= 10^13 has k < 0, so each m is v / 10^-k and a tie is
+    decided from the exact residual; 10000000000005 and 10000000000015 are
+    exact ties that round half to even, down and up."""
+    xs = [10000000000005.0, 10000000000015.0, 1e13, 2.5e13, 1e34]
+    for e in (13, 14, 15, 22, 34):
+        for n in (10**12, 1234567890123, 5 * 10**12, 10**13 - 1):
+            tie = exact_decimal_float(2 * n + 1, e - 12) / 2
+            xs += [math.nextafter(tie, 0.0), tie,
+                   math.nextafter(tie, math.inf)]
+    cells, ok = e12_cells(np.array(xs))
+    assert ok.all()
+    printed = [cell.tobytes().decode("ascii") for cell in cells]
+    assert printed == [format(x, ".12e") for x in xs]
+    assert printed[:2] == ["1.000000000000e+13", "1.000000000002e+13"]
+    result = one_column_result(xs, xs[::-1])
+    assert render_csv(result) == reference_csv(result)
+
+
+def test_one_column_crosses_ten_to_the_thirteen_in_a_block_and_at_its_edge():
+    """k < 0 and k >= 0 in one column: the axis crosses 10^13 inside the
+    first block, and the values cross it exactly at the block edge."""
+    step = BLOCK_CELLS // 3  # rows of a block: the axis, v and the gap
+    samples = np.linspace(5.0e12, 2.0e13, 2 * step)
+    values = np.concatenate([np.linspace(1.0e12, 9.99e12, step),
+                             np.linspace(1.0e13, 3.0e13, step)])
+    result = one_column_result(samples, values)
+    text = render_csv(result)
+    assert text == reference_csv(result)
+    assert [line.split(",")[:2] for line in text.splitlines()[1:]] == [
+        [format(x, ".12e"), format(v, ".12e")]
+        for x, v in zip(samples.tolist(), values.tolist())]
+
+
+@pytest.mark.parametrize("general_first", [False, True])
+def test_blocks_that_take_different_guards_render_in_either_order(
+        general_first):
+    """One block needs no general-case pass; the other has a declined
+    cell, a 3-digit exponent, k < 0, a tie, a carry and a gap row. Each
+    block's cells are their own, whichever is rendered first."""
+    step = BLOCK_CELLS // 3
+    plain = np.linspace(20.0, 80.0, step)
+    general = np.linspace(20.0, 80.0, step)
+    general[[3, 5, 7, 9, 11, 13]] = [
+        -1.5, 1.25e150, 2.5e13, 1000000000000.5,
+        math.nextafter(9999999999999.5, math.inf), math.nan]
+    reasons = [""] * (2 * step)
+    blocks = [general, plain] if general_first else [plain, general]
+    reasons[(0 if general_first else step) + 17] = "opaque"
+    samples = np.linspace(1.0e12, 3.0e12, 2 * step)
+    result = one_column_result(samples, np.concatenate(blocks), reasons)
+    text = render_csv(result)
+    assert text == reference_csv(result)
+    cells = [line.split(",")[1] for line in text.splitlines()[1:]]
+    assert cells == [
+        "" if reason else format(v, ".12e") for v, reason in
+        zip(np.concatenate(blocks).tolist(), reasons)]
 
 
 @pytest.mark.parametrize("argv", [

@@ -12,7 +12,7 @@ from thzlink.absorption import (DEFAULT_WING_CUTOFF, Environment,
 from thzlink.capacity import BandPlan, centered_band_grid, channel_capacity
 from thzlink.cli import main, render_csv
 from thzlink.config import load_scenario
-from thzlink.constants import LIGHT_SPEED
+from thzlink.constants import ATM_IN_KPA, LIGHT_SPEED
 from thzlink.errors import DomainError, TwoRayNullError, ValidationError
 from thzlink.propagation import (GAP_REASONS, LinkGeometry,
                                  dielectric_path_loss, total_path_loss,
@@ -433,6 +433,47 @@ def test_opaque_medium_becomes_gap_row(env, band):
     assert affected == {"L_db_proposed_d0.002m"}  # baseline stays clear
     for _, row in result.points:
         assert "L_db_conventional_d0.002m" in row
+
+
+@pytest.mark.parametrize("axis", ["frequency", "temperature", "pressure"])
+def test_conventional_path_loss_is_the_lineless_point_query(axis):
+    """Each L_db_conventional_* cell has the bits of total_path_loss on the
+    medium without absorption. A row on a two-ray null gaps both models;
+    a row in the opaque line gaps only the proposed one."""
+    scenario = gap_scenario()
+    geom, env = scenario.geom, scenario.env
+    lineless = scenario.medium.without_absorption()
+    f_null = null_frequency(scenario)
+    if axis == "frequency":  # the first row is opaque, the last on a null
+        result = sweep_pathloss_vs_frequency(scenario, (1.2e12, f_null), 7)
+        rows = [(x, [x], env) for x in result.samples.tolist()]
+        suffixes = [f"_d{geom.d:g}m"]
+    else:
+        sweep = (sweep_vs_temperature if axis == "temperature"
+                 else sweep_vs_pressure)
+        freqs = [1.0e12, 1.2e12, f_null]
+        result = sweep(scenario, (250.0, 400.0) if axis == "temperature"
+                       else (20.0, 200.0), 4, freqs)
+        rows = [(x, freqs, Environment(t_s=x, p=env.p) if axis ==
+                 "temperature" else Environment(t_s=env.t_s,
+                                                p=x / ATM_IN_KPA))
+                for x in result.samples.tolist()]
+        suffixes = [f"_f{f:g}Hz" for f in freqs]
+    seen = set()
+    for i, (x, freqs, row_env) in enumerate(rows):
+        for f, suffix in zip(freqs, suffixes):
+            values, codes = result.cells[f"L_db_conventional{suffix}"]
+            proposed = result.cells[f"L_db_proposed{suffix}"][1][i]
+            try:
+                report = total_path_loss(geom, lineless, row_env, f)
+            except TwoRayNullError:
+                assert (codes[i], proposed) == (1, 1)
+                seen.add("two-ray-null")
+                continue
+            assert codes[i] == 0
+            assert values[i].tobytes() == np.float64(report.l_db).tobytes()
+            seen.add("opaque" if proposed == 2 else "")
+    assert seen == {"", "two-ray-null", "opaque"}
 
 
 def test_gaps_yield_str_reasons_of_both_kinds():
