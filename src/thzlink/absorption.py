@@ -143,8 +143,9 @@ def spectral_line_shape(line: SpectralLine, f: float, env: Environment,
 
 def line_absorption(line: SpectralLine, q: float, f: float,
                     env: Environment) -> float:
-    """Individual absorption coefficient of one line [1/m], no cutoff:
-    :func:`medium_kappa` of the line alone at mixing ratio ``q``."""
+    """Individual absorption coefficient of one line [1/m]: the line's
+    :func:`medium_kappa` term at mixing ratio ``q``, without the wing
+    cutoff, so it stays > 0 farther than DEFAULT_WING_CUTOFF from f."""
     _check_q(q)
     kappa = kernels.line_contributions((f,), kernels._pack((line,), (q,)),
                                        env.t_s, env.p)

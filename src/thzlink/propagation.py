@@ -169,11 +169,7 @@ def path_loss_grid(geom: LinkGeometry, epsilon_r: float, f, kappa,
     An opaque cell, whose kappa * d exceeds DEFAULT_OVERFLOW_CAP, saturates
     L_a at exp(cap). Raises as two_ray_grid.
     """
-    return _with_absorption(*two_ray_grid(geom, f, epsilon_r, d), kappa, d)
-
-
-def _with_absorption(l_d, null, kappa, d) -> tuple:
-    """path_loss_grid's result from its two-ray term: L_d and null mask."""
+    l_d, null = two_ray_grid(geom, f, epsilon_r, d)
     l_a, opaque = _beer_lambert(kappa * d)
     l_d_db, l_a_db = 10.0 * np.log10(l_d), 10.0 * np.log10(l_a)
     codes = np.where(null, np.uint8(1), opaque * np.uint8(2))

@@ -26,7 +26,7 @@ from .capacity import channel_capacity  # noqa: F401 (perfbench patches it)
 from .constants import ATM_IN_KPA
 from .errors import DomainError, ValidationError
 from .propagation import (GAP_REASONS, LinkGeometry, _check_distance,
-                          _with_absorption, two_ray_grid)
+                          path_loss_grid)
 from .spectro import Medium
 
 
@@ -164,11 +164,13 @@ def _blocks(scenario: Scenario, varies: str, bounds: tuple[float, float],
     at each distance in ``values``; "f_k", the band center (K), capacity;
     "t_s" or "p" (kPa), both at each frequency in ``values`` (K + 1); "d"
     (K), capacity per scheme of the allocation ``values``. A block's
-    kappas are one kernel call per model ("d": before the blocks), and a
-    column group's two-ray term and floors serve both models. Checks that
-    name the axis, its ends or a label, or that scan the whole axis (each
-    row's band, then the kernel and two-ray terms at the ends, which bound
-    every row's), run before the first block."""
+    kappas are one kernel call per model ("d": before the blocks). A
+    column group's floor grid and its one path_loss_grid call serve both
+    models: the conventional model's cells are that call's L_d [dB] and
+    two-ray null codes. Checks that name the axis, its ends or a label,
+    or that scan the whole axis (each row's band, then the kernel and
+    two-ray terms at the ends, which bound every row's), run before the
+    first block."""
     geom, env, band = scenario.geom, scenario.env, scenario.band
     eps = scenario.medium.epsilon_r  # both models'
     axis, unit = {"f": ("frequency", "Hz"), "f_k": ("frequency", "Hz"), "d":
@@ -184,7 +186,6 @@ def _blocks(scenario: Scenario, varies: str, bounds: tuple[float, float],
     lowest = float(samples[0])
     models = [("proposed", scenario.medium),
               ("conventional", scenario.medium.without_absorption())]
-    lined = [i for i, (_, medium) in enumerate(models) if medium.lines]
     if varies == "p" and lowest > 0 and not lowest / ATM_IN_KPA > 0:
         raise ValidationError([f"pressure {lowest!r} kPa underflows to 0 "
                                f"atm in float64"])
@@ -230,14 +231,12 @@ def _blocks(scenario: Scenario, varies: str, bounds: tuple[float, float],
         cells = {}
         for suffix, first, f, d_f, f_k, delta_f in block_groups:
             kappa = kappas[..., first:first + per_row]
-            if f is not None:  # one two-ray term serves both models
-                l_d, null = two_ray_grid(geom, f, eps,
-                                         _check_distance(geom, d_f))
-                _, _, l_d_db, _, l_db, l_codes = _with_absorption(
-                    l_d, null, kappa[lined, :, 0], d_f)
-                lineless = (np.full(len(x), l_d_db),  # kappa d = 0: L is L_d
-                            np.full(len(x), null, np.uint8))
-                path_loss = iter(zip(l_db, l_codes))
+            if f is not None:  # one path-loss grid serves both models
+                _, _, l_d_db, _, l_db, l_codes = path_loss_grid(
+                    geom, eps, f, kappa[0, :, 0], _check_distance(geom, d_f))
+                # the conventional L is L_d; a null (1) outranks opaque
+                path_loss = ((l_db, l_codes), (np.full(len(x), l_d_db),
+                                               (l_codes == 1).view(np.uint8)))
                 kappa = kappa[..., 1:]
             if schemes:  # and one floor grid
                 psi, null = psi_grid(geom, eps, f_k, kappa, d, t_s, delta_f)
@@ -245,10 +244,9 @@ def _blocks(scenario: Scenario, varies: str, bounds: tuple[float, float],
                 psi = psi[:, ok]
                 widths = delta_f[ok, 0] if np.ndim(delta_f) == 2 else delta_f
                 codes = (~ok).view(np.uint8)  # 1: "two-ray-null"
-            for i, (model, medium) in enumerate(models):
+            for i, (model, _) in enumerate(models):
                 if f is not None:
-                    cells[f"L_db_{model}{suffix}"] = (
-                        next(path_loss) if medium.lines else lineless)
+                    cells[f"L_db_{model}{suffix}"] = path_loss[i]
                 for tag, scheme in schemes:
                     p_k = (water_filling_grid(psi[i], scenario.p_t)[0]
                            if scheme == "waterfilling" else

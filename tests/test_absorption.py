@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from thzlink import kernels
-from thzlink.absorption import (DEFAULT_OVERFLOW_CAP, Attenuation,
-                                Environment,
+from thzlink.absorption import (DEFAULT_OVERFLOW_CAP, DEFAULT_WING_CUTOFF,
+                                Attenuation, Environment,
                                 attenuation_from_optical_depth,
                                 kappa_over_grid, line_absorption,
                                 lorentz_half_width, maa, medium_kappa,
@@ -216,6 +216,18 @@ class TestMediumKappa:
                     assert line_absorption(line, q, f, env) == (
                         kernels.line_contributions(
                             (f,), medium.packed, env.t_s, env.p).sum())
+
+    def test_line_absorption_has_no_wing_cutoff(self, full_catalog, env):
+        # the bundled catalog's first line (O2, 0.1188 THz) at the default q
+        line, q = full_catalog[0], 0.21
+        medium = Medium(composition={line.species: q}, lines=(line,))
+        for offset in (0.5e12, 4.9e12):  # within the cutoff: equal
+            f = line.f_c0 + offset
+            assert line_absorption(line, q, f, env) == (
+                medium_kappa(medium, f, env).total_kappa)
+        beyond = line.f_c0 + DEFAULT_WING_CUTOFF + 1.0e12
+        assert line_absorption(line, q, beyond, env) > 0.0
+        assert medium_kappa(medium, beyond, env).total_kappa == 0.0
 
     def test_total_is_sum_of_contributions(self, default_medium, env):
         breakdown = medium_kappa(default_medium, 1.21e12, env)

@@ -386,7 +386,9 @@ def test_determinism(default_scenario):
     assert a == b
 
 
-def test_baseline_scenario_collapses_models(default_scenario):
+@pytest.mark.parametrize("axis", ["capacity", "frequency", "temperature",
+                                  "pressure"])
+def test_baseline_scenario_collapses_models(default_scenario, axis):
     baseline = Scenario(geom=default_scenario.geom,
                         medium=default_scenario.medium,
                         env=default_scenario.env,
@@ -394,10 +396,34 @@ def test_baseline_scenario_collapses_models(default_scenario):
                         p_t=default_scenario.p_t,
                         baseline=True)
     assert baseline.medium.composition == {}
-    result = sweep_capacity_vs_frequency(baseline, (1.0e12, 1.5e12), 7)
-    for (_, p), (_, c) in zip(column(result, "C_bps_proposed"),
-                              column(result, "C_bps_conventional")):
-        assert p == c
+    if axis == "capacity":
+        result = sweep_capacity_vs_frequency(baseline, (1.0e12, 1.5e12), 7)
+        for (_, p), (_, c) in zip(column(result, "C_bps_proposed"),
+                                  column(result, "C_bps_conventional")):
+            assert p == c
+        return
+    if axis == "frequency":  # at two distances, the last row on a null
+        gaps = replace(gap_scenario(), baseline=True)
+        f_null = null_frequency(gaps)
+        result = sweep_pathloss_vs_frequency(gaps, (1.2e12, f_null), 9,
+                                             [gaps.geom.d, 2.0e-2])
+        assert [(x, reason) for x, _, reason in result.gaps] == \
+            [(f_null, "two-ray-null")] * 2
+    elif axis == "temperature":
+        result = sweep_vs_temperature(baseline, (250.0, 400.0), 7)
+    else:
+        result = sweep_vs_pressure(baseline, (50.0, 150.0), 7)
+    # the proposed model's path loss is L_d + 0.0 from Beer-Lambert at
+    # kappa = 0, the conventional model's is L_d: the same bits
+    proposed = [name for name in result.cells
+                if name.startswith("L_db_proposed")]
+    assert len(proposed) == (2 if axis == "frequency" else 3)
+    for name in proposed:
+        (p_values, p_codes), (c_values, c_codes) = (
+            result.cells[name],
+            result.cells[name.replace("proposed", "conventional")])
+        assert p_values.tobytes() == c_values.tobytes()
+        assert p_codes.tobytes() == c_codes.tobytes()
 
 
 def test_two_ray_null_becomes_gap_row(default_medium, env, band):
