@@ -294,7 +294,9 @@ def allocation_capacity_grid(p_k, psi, delta_f) -> np.ndarray:
     with np.errstate(over="ignore"):
         ratio = np.divide(p_k, psi, out=np.zeros(funded.shape), where=funded)
     bits = np.log2(1.0 + ratio)
-    if ratio.max(initial=0.0) == np.inf:  # log2(1 + r) = log2(r), r > 2^53
+    # argmax is one C-level scan, cheaper than max; a (0, K) grid has none
+    if ratio.size and ratio.item(ratio.argmax()) == np.inf:
+        # log2(1 + r) = log2(r), r > 2^53
         over = ratio == np.inf
         bits[over] = (np.log2(p_k[over])
                       - np.log2(np.broadcast_to(psi, over.shape)[over]))

@@ -302,6 +302,15 @@ def _product_error(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return ((a1 * b1 - a * b) + a1 * b2 + a2 * b1) + a2 * b2
 
 
+def _scaled(x: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """x 10^k for |k| <= 22 in one rounding: each cell's 10^max(k, 0) or
+    10^max(-k, 0) is 1.0."""
+    m = x * _POW10[np.maximum(k, 0)]
+    if k.min() < 0:
+        m /= _POW10[np.maximum(-k, 0)]
+    return m
+
+
 def _e12_cells(x: np.ndarray, cells: np.ndarray) -> np.ndarray:
     """Write ``format(v, ".12e")`` of each v in ``x`` into ``cells``, a
     _CELL_BYTES view of x's shape, and return a mask of the cells that hold
@@ -317,9 +326,12 @@ def _e12_cells(x: np.ndarray, cells: np.ndarray) -> np.ndarray:
     of the product for k >= 0, the residual v - m 10^|k| for k < 0, both
     exact; at 0 the tie is exact, and rint rounds it half to even as the
     format does. Those 13 digits are what the correctly rounded format
-    prints. A cell is declined (mask False, bytes meaningless) for v <= 0,
-    NaN or inf, |k| > 22 or m outside [10^12, 10^13). A pass that only
-    such cells, k < 0, ties or carries need runs only where one occurs."""
+    prints. np.log10 rounds some v just below a power of ten up to it (3.0
+    for 999.9999999999999), and then m < 10^12: such a cell takes e one
+    lower. A cell is declined (mask False, bytes meaningless) for v <= 0,
+    NaN or inf, |k| > 22 or m outside [10^12, 10^13]. A pass that only
+    such cells, k < 0, exponents one too high, ties or carries need runs
+    only where one occurs."""
     ok = (x > 0) & (x < np.inf)
     x = x if ok.all() else np.where(ok, x, 1.0)
     e = np.floor(np.log10(x)).astype(np.intp)
@@ -327,12 +339,15 @@ def _e12_cells(x: np.ndarray, cells: np.ndarray) -> np.ndarray:
     if k.min() < -22 or k.max() > 22:
         ok &= np.abs(k) <= 22
         k = np.clip(k, -22, 22)
-    # a cell's 10^max(k, 0) or 10^max(-k, 0) is 1.0, so this is one rounding
-    m = x * _POW10[np.maximum(k, 0)]
-    if k.min() < 0:
-        m /= _POW10[np.maximum(-k, 0)]
+    m = _scaled(x, k)
+    low = m < 1e12  # not where x was replaced by 1.0: its m is 10^12
+    if low.any():
+        low &= k < 22  # a clipped k, or one whose 10^(k + 1) is not exact
+        e -= low
+        k += low
+        m = _scaled(x, k)
     n = np.rint(m)
-    ok &= (m >= 1e12) & (m < 1e13)
+    ok &= (m >= 1e12) & (m <= 1e13)
     tie = np.abs(m - n) == 0.5  # a declined one is finite and replaced below
     if tie.any():
         v, m_tie, scale = x[tie], m[tie], _POW10[np.abs(k[tie])]
@@ -340,7 +355,7 @@ def _e12_cells(x: np.ndarray, cells: np.ndarray) -> np.ndarray:
         above = np.where(k[tie] >= 0, _product_error(v, scale),
                          (v - m_tie * scale) - _product_error(m_tie, scale))
         n[tie] = np.where(above == 0, n[tie], m_tie + np.copysign(0.5, above))
-    carry = n == 1e13  # m in [10^13 - 0.5, 10^13): 1.000000000000e+(e+1)
+    carry = n == 1e13  # m in [10^13 - 0.5, 10^13]: 1.000000000000e+(e+1)
     if carry.any():
         n[carry] = 1e12
         e += carry

@@ -2,22 +2,25 @@
 
 This is the one place the sum is evaluated: over grids by kappa_totals,
 line by line by line_contributions. Its formulas factor as kappa_j(f) =
-g(f) w_j [1/((f - f_c)^2 + alpha^2) + 1/((f + f_c)^2 + alpha^2)] with
-g(f) = f^2 tanh(a f) per point and w_j = amp_j alpha/(pi f_c^2 tanh(a f_c))
-per line. The per-line factors depend only on the temperature and
-pressure: a scalar condition's are derived and checked once and kept on
-the LineArrays, so repeated calls at one condition reuse them; the
-per-point factors are computed once per call. A lines x points pair costs
-the two poles, the cutoff test (skipped when no pair is farther apart than
-the cutoff) and a weighted sum.
+g(f) w_j [1/A + 1/B] with A = (f - f_c)^2 + alpha^2, B = (f + f_c)^2 +
+alpha^2 = A + f 4f_c, g(f) = f^2 tanh(a f) per point and w_j = amp_j
+alpha/(pi f_c^2 tanh(a f_c)) per line. The per-line factors, 4 f_c among
+them, depend only on the temperature and pressure: a scalar condition's
+are derived and checked once and kept on the LineArrays, so repeated calls
+at one condition reuse them; the per-point factors are computed once per
+call. A lines x points pair costs one division, the poles taken as (A +
+B)/(A B), the cutoff test (skipped when no pair is farther apart than the
+cutoff) and a weighted sum. A B is a normal float64 wherever B is in [1,
+2^511), which a call checks from its extreme points and line factors;
+outside that, each pair whose A B is not normal takes the two reciprocals.
 
 Every call runs _weighted_poles in one of two pair layouts:
 
 - tiles, for a call of more than BLOCK_CELLS pairs at a scalar (T, p):
-  each block of points takes slices of (points, lines) copies of the line
-  factors, tiled once per call, and its points repeated once per line, so
-  that no pass broadcasts a column of points against a row of lines, which
-  costs about twice a same-shape pass;
+  each block of points takes slices of (points, lines) copies of the four
+  line factors, tiled once per call, and its points repeated once per line
+  (the array that takes B), so that no pass broadcasts a column of points
+  against a row of lines, which costs about twice a same-shape pass;
 - broadcast views, for one-block calls, and for per-row T, per-row p or
   per-row points, whose line factors or points differ by row.
 """
@@ -133,10 +136,10 @@ def _at(condition, row: int) -> float:
 
 
 def _derive_line_state(lines: LineArrays, t_s, p):
-    """Per line f_c, alpha^2 and w, a = h/2kT, whether any alpha^2 is below
-    the smallest normal float64, and the lowest and highest f_c, at
-    numpy-scalar or per-row (R, 1) conditions. Raises for a resonance <= 0
-    or a weight outside float64."""
+    """Per line f_c, alpha^2, w and 4 f_c, a = h/2kT, whether any alpha^2 is
+    below the smallest normal float64, the largest alpha^2, and the lowest
+    and highest f_c, at numpy-scalar or per-row (R, 1) conditions. Raises
+    for a resonance <= 0 or a weight outside float64."""
     # every factor is checked below, NaN and inf included
     with np.errstate(all="ignore"):
         f_c, alpha = _line_center_and_width(lines, lines.q, t_s, p)
@@ -161,8 +164,9 @@ def _derive_line_state(lines: LineArrays, t_s, p):
         raise DomainError(
             f"temperature {_at(t_s, row)!r} K at pressure {_at(p, row)!r} atm "
             f"puts the line widths or weights outside float64")
-    return (f_c, alpha2, weight, a, bool(alpha2.min() < _TINY),
-            f_c.item(nearest), f_c.item(f_c.argmax()))
+    return (f_c, alpha2, weight, 4.0 * f_c, a, bool(alpha2.min() < _TINY),
+            alpha2.item(alpha2.argmax()), f_c.item(nearest),
+            f_c.item(f_c.argmax()))
 
 
 def _kept_line_state(lines: LineArrays, t_s, p):
@@ -175,7 +179,7 @@ def _kept_line_state(lines: LineArrays, t_s, p):
     if slot is not None and slot[0] == key:
         return slot[1]
     state = _derive_line_state(lines, t_s, p)
-    for x in state[:3]:
+    for x in state[:4]:
         x.setflags(write=False)
     object.__setattr__(lines, "_state", (key, state))
     return state
@@ -192,9 +196,9 @@ def _condition(x):
 
 def _factors(freqs, lines: LineArrays, t_s, p, cutoff: float):
     """A call's result shape and, with lines and points, its factors: per
-    point f and g, per line f_c, alpha^2, w and whether an alpha^2
-    underflowed, and the cutoff, inf where it cannot mask any pair. Raises
-    as kappa_totals."""
+    point f and g, per line f_c, 4 f_c, alpha^2 and w, whether an alpha^2
+    underflowed, whether every pair's A.B is sure to be normal, and the
+    cutoff, inf where it cannot mask any pair. Raises as kappa_totals."""
     freqs = np.asarray(freqs, dtype=np.float64)
     t_s, p = _condition(t_s), _condition(p)
     per_row = isinstance(t_s, np.ndarray) or isinstance(p, np.ndarray)
@@ -203,7 +207,7 @@ def _factors(freqs, lines: LineArrays, t_s, p, cutoff: float):
         return shape, None
     lowest, highest = _check_frequencies(freqs)
     # per-row conditions (the temperature and pressure sweeps) are not kept
-    f_c, alpha2, weight, a, narrow, f_c_lo, f_c_hi = (
+    f_c, alpha2, weight, f4c, a, narrow, alpha2_hi, f_c_lo, f_c_hi = (
         _derive_line_state if per_row else _kept_line_state)(lines, t_s, p)
     # fl(f - f_c) is monotone in f and f_c, so no pair's |f - f_c| exceeds
     # these two; within the cutoff it masks nothing (a NaN keeps the mask)
@@ -227,15 +231,30 @@ def _factors(freqs, lines: LineArrays, t_s, p, cutoff: float):
     if not g.item(smallest) > 0:
         raise DomainError(outside.format(
             float(np.broadcast_to(freqs, g.shape).flat[smallest])))
-    return shape, (freqs, g, f_c, alpha2, weight, narrow, cutoff)
+    # _TINY <= A <= B, so every A.B is normal where B = A + f 4f_c is in
+    # [1, 2^511): rounding is monotone, so no pair's B is below the first
+    # bound, nor above the second, (f + f_c)^2 + alpha^2 at its extremes
+    # with a factor 2 for rounding
+    top = highest + f_c_hi
+    bounded = (lowest * (4.0 * f_c_lo) >= 1.0
+               and top * top + alpha2_hi < 2.0 ** 510)
+    return shape, (freqs, g, f_c, f4c, alpha2, weight, narrow, bounded,
+                   cutoff)
 
 
-def _weighted_poles(f, f_c, alpha2, weight, narrow, cutoff) -> np.ndarray:
+def _weighted_poles(f, f_c, f4c, alpha2, weight, narrow, bounded,
+                    cutoff) -> np.ndarray:
     """w_j times the poles, 0 beyond the cutoff, at the (..., K, lines)
     pairs, for operands that broadcast to them: as _broadcast's views or
     _tiled's same-shape copies. With ``narrow`` (some alpha^2 underflowed),
     a point on such a line's center, where its pole leaves float64, raises
     DomainError.
+
+    The two poles are 1/A + 1/B with A = (f - f_c)^2 + alpha^2 and B = A +
+    f 4f_c = (f + f_c)^2 + alpha^2, taken as (A + B)/(A.B): one division a
+    pair. Unless ``bounded``, a pair whose A.B is not a normal float64
+    takes the two reciprocals, B as (f + f_c)^2 + alpha^2, so a pair's bits
+    depend on its own f and line alone.
 
     Every layout gives each pair the same operations, and lines run along
     the last, contiguous axis, so numpy sums each point's lines in the same
@@ -246,43 +265,57 @@ def _weighted_poles(f, f_c, alpha2, weight, narrow, cutoff) -> np.ndarray:
     # in place after the first pass, as allocating temporaries costs more
     # than their arithmetic
     dm *= dm
-    terms = dm + alpha2
-    # only a line whose alpha^2 is below _TINY can put a denominator there
-    if narrow and not terms.min() >= _TINY:
-        at = int(terms.argmin())
+    # A, in dm unless alpha^2 varies by row where f - f_c does not (per-row
+    # T at one p)
+    dm = np.add(dm, alpha2,
+                out=dm if alpha2.shape[:-2] in ((), dm.shape[:-2]) else None)
+    # only a line whose alpha^2 is below _TINY can put an A there
+    if narrow and not dm.min() >= _TINY:
+        at = int(dm.argmin())
         raise DomainError(
-            f"frequency {float(np.broadcast_to(f, terms.shape).flat[at])!r} "
-            f"Hz is on the center of line {at % terms.shape[-1]}, whose "
+            f"frequency {float(np.broadcast_to(f, dm.shape).flat[at])!r} "
+            f"Hz is on the center of line {at % dm.shape[-1]}, whose "
             f"half-width squared underflows float64")
-    np.reciprocal(terms, out=terms)
-    dp = f + f_c
-    dp *= dp
-    dp = np.add(dp, alpha2, out=dp if dp.shape == terms.shape else None)
-    terms += np.reciprocal(dp, out=dp)
+    # B in f only where f is _tiled's repeat, made by this call: _broadcast's
+    # f is a view of the caller's points, and never owns its data
+    b = np.multiply(f, f4c, out=f if bounded and f.flags.owndata else None)
+    b = np.add(b, dm, out=b if b.shape == dm.shape else None)
+    if bounded:
+        terms = dm + b
+        dm *= b
+        terms /= dm
+    else:  # the two reciprocals where A.B is not normal
+        with np.errstate(all="ignore"):
+            terms = dm + b
+            b *= dm
+            terms /= b
+        dp = f + f_c
+        np.copyto(terms, 1.0 / dm + 1.0 / (dp * dp + alpha2),
+                  where=~((b >= _TINY) & (b < np.inf)))
     terms *= weight
     if mask is not None:
         np.copyto(terms, 0.0, where=mask)
     return terms
 
 
-def _broadcast(f, f_c, alpha2, weight, narrow, cutoff):
+def _broadcast(f, f_c, f4c, alpha2, weight, *flags):
     """_weighted_poles' operands as views: (K,) or (B, K) points as
     (..., K, 1) and (lines,) or (B, lines) line factors (1-D: any row) as
-    (..., 1, lines). Five of its passes then broadcast one against the
+    (..., 1, lines). Four of its passes then broadcast one against the
     other, each at ~2x a same-shape pass's cost, but nothing is copied."""
-    return (f[..., None], f_c[..., None, :], alpha2[..., None, :],
-            weight[..., None, :], narrow, cutoff)
+    return (f[..., None], f_c[..., None, :], f4c[..., None, :],
+            alpha2[..., None, :], weight[..., None, :], *flags)
 
 
-def _tiled(f, tiles, narrow, cutoff):
+def _tiled(f, tiles, *flags):
     """_weighted_poles' operands as same-shape arrays: each point of ``f``
-    repeated once per line, and the first ``f.size`` rows of each (P,
-    lines) tile of f_c, alpha^2 and w, viewed in the pairs' shape. The
-    repeat is one pass; it saves five broadcasting ones."""
+    repeated once per line, in an array of its own, and the first
+    ``f.size`` rows of each (P, lines) tile of f_c, 4 f_c, alpha^2 and w,
+    viewed in the pairs' shape. The repeat is one pass; it saves four
+    broadcasting ones."""
     pairs = f.shape + tiles[0].shape[-1:]
-    return (np.repeat(f, pairs[-1]).reshape(pairs),
-            *(tile[:f.size].reshape(pairs) for tile in tiles), narrow,
-            cutoff)
+    return (np.repeat(f[..., None], pairs[-1], axis=-1),
+            *(tile[:f.size].reshape(pairs) for tile in tiles), *flags)
 
 
 def kappa_totals(freqs, lines: LineArrays, t_s, p,
@@ -314,12 +347,12 @@ def kappa_totals(freqs, lines: LineArrays, t_s, p,
     # tiled once per call at a scalar condition; per-row line factors stay
     # views, as tiling them per block would cost about the copies it saves
     tiles = [np.tile(x, (max(1, BLOCK_CELLS // len(lines)), 1))
-             for x in per_line[:3]] if per_line[1].ndim == 1 else None
+             for x in per_line[:4]] if per_line[2].ndim == 1 else None
     for rows, (f, g, *per_line) in row_blocks(len(by_row),
                                               len(lines) * points, *terms):
         for k in range(0, shape[-1], points):
             cols = slice(k, k + points)
-            operands = (_tiled(f[..., cols], tiles, *per_line[3:]) if tiles
+            operands = (_tiled(f[..., cols], tiles, *per_line[4:]) if tiles
                         else _broadcast(f[..., cols], *per_line))
             by_row[rows, cols] = g[..., cols] * _weighted_poles(
                 *operands).sum(axis=-1)

@@ -493,6 +493,17 @@ def test_cell_formatter_is_exact_where_it_accepts():
     assert not ok.any()
 
 
+def test_cells_just_below_a_power_of_ten_take_the_exponent_below():
+    """np.log10 rounds each of these up to the power of ten above it (13.0,
+    3.0, -5.0), so m = v 10^k falls below 10^12; the cell takes e one lower
+    and is still accepted, format(v, ".12e") byte for byte."""
+    xs = [9999999999999.998, 999.9999999999999, 9.999999999999999e-06]
+    cells, ok = e12_cells(np.array(xs))
+    assert ok.all()
+    assert [cell.tobytes().decode("ascii") for cell in cells] == [
+        format(x, ".12e") for x in xs]
+
+
 def test_cell_formatter_prints_every_digit_group_lead_and_exponent():
     """Each four-digit group 0000-9999 in each of a cell's three group
     places, each lead digit 1-9 and each exponent -10..34 that the fast

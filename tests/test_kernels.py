@@ -1,6 +1,7 @@
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -492,3 +493,88 @@ def test_two_threads_alternating_conditions_get_their_own_bits(
     assert not any(thread.is_alive() for thread in threads)
     assert done == [300, 300]
     assert wrong == []
+
+
+def _two_reciprocal_terms(freqs, lines, t_s, p):
+    """g per point, and w_j [1/A + 1/B] per point and line with A = (f -
+    f_c)^2 + alpha^2 and B = (f + f_c)^2 + alpha^2: the pole pair as two
+    reciprocals, on the kernel's line state at one condition."""
+    f_c, alpha2, weight, _, a = kernels._derive_line_state(
+        lines, np.float64(t_s), np.float64(p))[:5]
+    f = np.asarray(freqs, dtype=np.float64)
+    dm, dp = f[:, None] - f_c, f[:, None] + f_c
+    poles = 1.0 / (dm * dm + alpha2) + 1.0 / (dp * dp + alpha2)
+    a = min(a, 20.0 / f.min())  # the kernel's cap: tanh(a f) is 1 there
+    return f * f * np.tanh(a * f), weight * poles
+
+
+@pytest.mark.parametrize("medium_name", ["one-line", "default_medium",
+                                         "wide_medium"])
+def test_line_contributions_match_two_reciprocals(medium_name, request, env,
+                                                  line_factory):
+    """(A + B)/(A.B) is the two reciprocals to rel 1e-15 per line, within
+    1 Hz of line centers and in the far wings; the caller's points, which
+    with one line have the pairs' shape, are left as they were."""
+    lines = _medium(medium_name, request, line_factory).packed
+    f_c = kernels._derive_line_state(lines, np.float64(env.t_s),
+                                     np.float64(env.p))[0]
+    centers = f_c[[0, len(lines) // 2, -1]]
+    freqs = np.concatenate([(centers[:, None] + [-1.0, -0.25, 0.0, 0.5, 1.0])
+                            .ravel(), [1.0e9, 1.0e10, 2.0e14, 1.0e15]])
+    before = freqs.copy()
+    got = kernels.line_contributions(freqs, lines, env.t_s, env.p)
+    assert np.array_equal(freqs, before)
+    g, terms = _two_reciprocal_terms(freqs, lines, env.t_s, env.p)
+    want = (g[:, None] * terms).T
+    assert np.all(want > 0)
+    assert np.max(np.abs(got / want - 1.0)) <= 1.0e-15
+
+
+@pytest.mark.parametrize("t_s, p", [(296.0, 1.0), (1.0e-300, 1.0e-300)])
+def test_pairs_past_a_normal_product_take_two_reciprocals(default_medium,
+                                                          t_s, p):
+    """At 1e78 and 1e150 Hz, A.B overflows: those points are the two
+    reciprocals' bits, the points below keep the one division, each as its
+    one-point call, and nothing warns."""
+    lines = default_medium.packed
+    freqs = np.array([1.0e12, 1.0e20, 1.0e78, 1.0e150])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = kernels.kappa_totals(freqs, lines, t_s, p)
+        one = [kernels.kappa_totals(freqs[k:k + 1], lines, t_s, p)[0]
+               for k in range(freqs.size)]
+    assert np.array_equal(got, one)
+    g, terms = _two_reciprocal_terms(freqs, lines, t_s, p)
+    assert np.array_equal(got[2:], (g * terms.sum(axis=-1))[2:])
+    # (A + B)/(A.B) would give 0 at 1e78 Hz; at 1e150 Hz and 1e-300 atm,
+    # each w_j/A underflows to 0
+    assert np.all(np.isfinite(got)) and np.all(got[:3] > 0)
+
+
+@pytest.mark.parametrize("t_s, p, f_c0, alpha, freqs", [
+    # B < 1 at every point, A.B normal at each
+    (296.0, 1.0, 0.01, 1.0e-3, [1.0e-3, 0.01, 0.0101, 1.0, 10.0]),
+    # A.B underflows to 0 at each point off the center
+    (1.0e-300, 1.0e-300, 1.0e-150, 1.0, [3.0e-150, 5.0e-150, 1.0e-149]),
+], ids=["normal-products", "zero-products"])
+def test_one_line_below_a_quarter_hertz_squared(t_s, p, f_c0, alpha, freqs,
+                                                line_factory):
+    """f f_c < 1/4, so B < 1: a one-line call, whose broadcast f has the
+    pairs' shape, matches its one-point calls and the two reciprocals,
+    warns of nothing and leaves the caller's points as they were."""
+    line = line_factory(f_c0=f_c0, intensity=1.0, alpha_air=alpha,
+                        alpha_self=alpha, temp_exponent=0.0)
+    lines = Medium(composition={line.species: 0.1}, lines=(line,)).packed
+    freqs = np.array(freqs)
+    before = freqs.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = kernels.kappa_totals(freqs, lines, t_s, p)
+        one = [kernels.kappa_totals(freqs[k:k + 1], lines, t_s, p)[0]
+               for k in range(freqs.size)]
+    assert np.array_equal(freqs, before)
+    assert np.array_equal(got, one)
+    g, terms = _two_reciprocal_terms(freqs, lines, t_s, p)
+    want = g * terms[:, 0]
+    assert np.all(np.isfinite(want)) and np.all(want > 0)
+    assert np.max(np.abs(got / want - 1.0)) <= 1.0e-15
