@@ -326,19 +326,20 @@ def _e12_cells(x: np.ndarray, cells: np.ndarray) -> np.ndarray:
     of the product for k >= 0, the residual v - m 10^|k| for k < 0, both
     exact; at 0 the tie is exact, and rint rounds it half to even as the
     format does. Those 13 digits are what the correctly rounded format
-    prints. np.log10 rounds some v just below a power of ten up to it (3.0
-    for 999.9999999999999), and then m < 10^12: such a cell takes e one
-    lower. A cell is declined (mask False, bytes meaningless) for v <= 0,
-    NaN or inf, |k| > 22 or m outside [10^12, 10^13]. A pass that only
+    prints. k is clipped to [-22, 22] first and e set to 12 - k, so a v
+    whose exponent is outside -10..34 has m outside [10^12, 10^13].
+    np.log10 rounds some v just below a power of ten up to it (3.0 for
+    999.9999999999999, 35.0 below 1e35), and then m < 10^12: such a cell
+    takes e one lower. A cell is declined (mask False, bytes meaningless)
+    for v <= 0, NaN or inf, or m outside [10^12, 10^13]. A pass that only
     such cells, k < 0, exponents one too high, ties or carries need runs
     only where one occurs."""
     ok = (x > 0) & (x < np.inf)
     x = x if ok.all() else np.where(ok, x, 1.0)
-    e = np.floor(np.log10(x)).astype(np.intp)
-    k = 12 - e
+    k = 12 - np.floor(np.log10(x)).astype(np.intp)
     if k.min() < -22 or k.max() > 22:
-        ok &= np.abs(k) <= 22
         k = np.clip(k, -22, 22)
+    e = 12 - k
     m = _scaled(x, k)
     low = m < 1e12  # not where x was replaced by 1.0: its m is 10^12
     if low.any():
@@ -359,8 +360,8 @@ def _e12_cells(x: np.ndarray, cells: np.ndarray) -> np.ndarray:
     if carry.any():
         n[carry] = 1e12
         e += carry
-    if not ok.all():  # every digit and exponent of a declined cell
-        n, e = np.where(ok, n, 1e12), np.where(ok, e, 0)  # indexes safely
+    if not ok.all():  # every digit of a declined cell indexes safely
+        n = np.where(ok, n, 1e12)
     n = n.astype(np.int64)
     # each group is n // 10^i less 10^4 times the digits before it: integer
     # floor division is exact, and several times faster than numpy's remainder

@@ -11,8 +11,9 @@ at one condition reuse them; the per-point factors are computed once per
 call. A lines x points pair costs one division, the poles taken as (A +
 B)/(A B), the cutoff test (skipped when no pair is farther apart than the
 cutoff) and a weighted sum. A B is a normal float64 wherever B is in [1,
-2^511), which a call checks from its extreme points and line factors;
-outside that, each pair whose A B is not normal takes the two reciprocals.
+2^511), which a call checks from its extreme points and line factors (f
+f_c >= 1/4 and f + f_c < 2^255, so below ~5.8e76 Hz); outside that, each
+pair whose A B is not normal takes the two reciprocals.
 
 Every call runs _weighted_poles in one of two pair layouts:
 

@@ -20,8 +20,7 @@ The catalog is parsed as columns: the text's bytes are viewed as records.
 Byte checks skip each unwanted species' record that _parse_records would
 provably read without error (every field laid out as serialize_line
 writes it, a non-zero wavenumber and air width, no minus that fails a
-check): a 24 000-record catalog keeping 1 100 lines parses in ~13 ms, not
-~30 ms. The other records' fields are converted at once with numpy, the
+check). The other records' fields are converted at once with numpy, the
 line checks run as masks over them, and only the lines that pass the
 species and intensity filters become SpectralLine objects; blank lines are
 skipped. Text that this pass refuses (a field that does not convert, a

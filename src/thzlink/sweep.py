@@ -167,10 +167,12 @@ def _blocks(scenario: Scenario, varies: str, bounds: tuple[float, float],
     kappas are one kernel call per model ("d": before the blocks). A
     column group's floor grid and its one path_loss_grid call serve both
     models: the conventional model's cells are that call's L_d [dB] and
-    two-ray null codes. Checks that name the axis, its ends or a label,
-    or that scan the whole axis (each row's band, then the kernel and
-    two-ray terms at the ends, which bound every row's), run before the
-    first block."""
+    two-ray null codes. A proposed model without lines (``baseline``) gets
+    L_d + 0.0 dB from Beer-Lambert at kappa = 0, L_d bit for bit, so its
+    cells equal the conventional model's. Checks that name the axis, its
+    ends or a label, or that scan the whole axis (each row's band, then
+    the kernel and two-ray terms at the ends, which bound every row's),
+    run before the first block."""
     geom, env, band = scenario.geom, scenario.env, scenario.band
     eps = scenario.medium.epsilon_r  # both models'
     axis, unit = {"f": ("frequency", "Hz"), "f_k": ("frequency", "Hz"), "d":

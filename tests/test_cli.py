@@ -504,6 +504,30 @@ def test_cells_just_below_a_power_of_ten_take_the_exponent_below():
         format(x, ".12e") for x in xs]
 
 
+def test_cells_around_each_power_of_ten_are_exact_up_to_ten_to_35():
+    """The 40 floats either side of each power of ten from 1e-60 to 1e60,
+    and the power itself: each accepted cell is format(v, ".12e") byte for
+    byte, and each float from 40 below 1e35 up to 1e35 is accepted. Where
+    np.log10 rounds those up to 35.0, k = -23 is clipped to -22 before the
+    exponent below is tried, and 1e35 itself carries into e+35."""
+    xs = []
+    for power in range(-60, 61):
+        below = above = float(f"1e{power}")
+        side = []
+        for _ in range(40):
+            below = math.nextafter(below, 0.0)
+            above = math.nextafter(above, math.inf)
+            side += [below, above]
+        xs += sorted(side + [float(f"1e{power}")])
+    cells, ok = e12_cells(np.array(xs))
+    for x, cell, accepted in zip(xs, cells, ok.tolist()):
+        if accepted:
+            assert cell.tobytes().decode("ascii") == format(x, ".12e")
+    top = [accepted for x, accepted in zip(xs, ok.tolist())
+           if 9.9e34 < x <= 1e35]
+    assert len(top) == 41 and all(top)
+
+
 def test_cell_formatter_prints_every_digit_group_lead_and_exponent():
     """Each four-digit group 0000-9999 in each of a cell's three group
     places, each lead digit 1-9 and each exponent -10..34 that the fast
