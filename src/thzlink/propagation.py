@@ -6,6 +6,11 @@ Total path loss multiplies that dielectric loss by the molecular
 absorption attenuation, whose wing cutoff and overflow cap are model
 constants. All gains and losses are linear internally; dB appears only at
 the reporting boundary.
+
+A point is evaluated once: the link budget is the dB ledger of the total
+path loss's report, and each medium keeps the report of the last point
+evaluated in it, so a ledger after a path-loss query at the same point
+reuses that query's kernel and two-ray terms.
 """
 
 from __future__ import annotations
@@ -74,7 +79,12 @@ class LinkGeometry:
 
 @dataclass(frozen=True)
 class PathLossReport:
-    """Dielectric, absorption, and total path loss (linear and dB)."""
+    """Dielectric, absorption, and total path loss (linear and dB).
+
+    ``kappa`` is the absorption coefficient [1/m] at f, unsaturated even
+    where ``opaque`` caps L_a: the ledger's absorption term is
+    -10 log10(e) * kappa * d.
+    """
 
     l_d: float
     l_a: float
@@ -83,6 +93,7 @@ class PathLossReport:
     l_a_db: float
     l_db: float
     opaque: bool = False
+    kappa: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -208,10 +219,23 @@ def total_path_loss(geom: LinkGeometry, medium: Medium, env: Environment,
     """Total path loss L = L_d * L_a with dB components: the one-cell view
     of :func:`path_loss_grid`, so it has the bits of a sweep's cell.
 
+    The report is kept on ``medium`` as one (key, report) tuple, read and
+    replaced whole, so concurrent callers never pair a key with another
+    point's report. The key is ``geom`` and ``env`` by identity and f and
+    the resolved d by value. A repeat of the last point evaluated in the
+    medium returns the kept report; one entry serves the repeat that
+    happens, :func:`link_budget_db` after this call. A call that raises
+    keeps nothing.
+
     Raises TwoRayNullError on a two-ray null, and DomainError as
     dielectric_path_loss and kappa_over_grid do.
     """
     d = _check_distance(geom, d)
+    slot = medium._report
+    if slot is not None:
+        key = slot[0]
+        if key[0] is geom and key[1] is env and key[2] == f and key[3] == d:
+            return slot[1]
     kappa = kappa_over_grid(medium, (f,), env)[0]
     *losses, code = path_loss_grid(geom, medium.epsilon_r, f, kappa, d)
     reason = GAP_REASONS[code.item()]
@@ -219,30 +243,37 @@ def total_path_loss(geom: LinkGeometry, medium: Medium, env: Environment,
         raise TwoRayNullError(two_ray_argument(geom, f, medium.epsilon_r, d),
                               frequency=f)
     l_d, l_a, l_d_db, l_a_db, l_db = map(float, losses)
-    return PathLossReport(l_d=l_d, l_a=l_a, l=l_d * l_a, l_d_db=l_d_db,
-                          l_a_db=l_a_db, l_db=l_db,
-                          opaque=reason == "opaque")
+    report = PathLossReport(l_d=l_d, l_a=l_a, l=l_d * l_a, l_d_db=l_d_db,
+                            l_a_db=l_a_db, l_db=l_db,
+                            opaque=reason == "opaque", kappa=float(kappa))
+    # the key holds geom and env, so their ids cannot be reused; f and d
+    # as floats, the values the evaluation used
+    object.__setattr__(medium, "_report",
+                       ((geom, env, float(f), float(d)), report))
+    return report
 
 
 def link_budget_db(geom: LinkGeometry, medium: Medium, env: Environment,
                    f: float, p_t: float) -> LinkBudget:
-    """Received power at the far antenna, term by term in dB.
+    """Received power at the far antenna, term by term in dB: the ledger
+    of :func:`total_path_loss`'s report at f, so a call after that one at
+    the same point evaluates nothing again.
 
-    The absorption term uses the exact 10*log10(e) constant so the ledger
-    sum equals the linear-domain result to rounding error.
+    The absorption term uses the exact 10*log10(e) constant and the
+    unsaturated kappa, so the ledger sum equals the linear-domain result
+    to rounding error even where the report is opaque.
     """
     if not 0 < p_t < math.inf:
         raise DomainError(f"transmit power must be finite and > 0, got "
                           f"{p_t!r}")
-    l_d = dielectric_path_loss(geom, f, medium.epsilon_r)
-    kappa = float(kappa_over_grid(medium, (f,), env)[0])
+    report = total_path_loss(geom, medium, env, f)
     p_t_dbw = db(p_t)
     g_t_db = db(geom.g_t)
     g_r_db = db(geom.g_r)
     permittivity_db = -db(medium.epsilon_r)
     # L_d carries the gains and the permittivity; the rest is spreading
-    spreading_db = -db(l_d) - g_t_db - g_r_db - permittivity_db
-    absorption_db = -(10.0 / math.log(10.0)) * kappa * geom.d
+    spreading_db = -db(report.l_d) - g_t_db - g_r_db - permittivity_db
+    absorption_db = -(10.0 / math.log(10.0)) * report.kappa * geom.d
     return LinkBudget(
         p_t_dbw=p_t_dbw, g_t_db=g_t_db, g_r_db=g_r_db,
         permittivity_db=permittivity_db, spreading_db=spreading_db,

@@ -33,7 +33,7 @@ first bad record for the CatalogParseError.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -357,12 +357,15 @@ class Medium:
     composition maps (gas_id, iso_id) to its mixing ratio q in [0, 1]; the
     ratios may sum to less than 1, the remainder being non-absorbing
     background. ``lines`` holds the catalog lines of exactly the species
-    present in the composition.
+    present in the composition. ``_report`` is the path loss of the last
+    point evaluated in this medium, kept by ``propagation.total_path_loss``.
     """
 
     composition: dict[tuple[int, int], float]
     epsilon_r: float = 1.0
     lines: tuple[SpectralLine, ...] = ()
+    _report: tuple | None = field(default=None, init=False, compare=False,
+                                  repr=False)
 
     def __post_init__(self):
         problems = []

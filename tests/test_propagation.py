@@ -1,13 +1,18 @@
 import math
 import re
+import struct
+import sys
+import threading
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
-from thzlink.absorption import Environment
+from thzlink.absorption import Environment, kappa_over_grid
+from thzlink.config import load_scenario
 from thzlink.constants import LIGHT_SPEED
 from thzlink.errors import DomainError, TwoRayNullError, ValidationError
-from thzlink.propagation import (GAP_REASONS, LinkGeometry, db,
+from thzlink.propagation import (GAP_REASONS, LinkBudget, LinkGeometry, db,
                                  dielectric_path_loss, link_budget_db,
                                  path_loss_grid, phase_difference,
                                  phase_velocity, total_path_loss,
@@ -243,3 +248,134 @@ def test_path_loss_grid_reasons_are_one_uint8_array_of_codes(geom):
     *_, code = path_loss_grid(geom, 1.0, 1.0e12, 1.0e9, geom.d)
     assert code.dtype == np.uint8 and code.shape == ()
     assert GAP_REASONS[code.item()] == "opaque"
+
+
+def _bits(record) -> bytes:
+    """A report's or budget's floats as their bytes: 0.0 is not -0.0."""
+    return struct.pack(f"{len(astuple(record))}d", *astuple(record))
+
+
+def _fresh(medium: Medium) -> Medium:
+    """An equal medium with nothing kept on it."""
+    return Medium(composition=medium.composition,
+                  epsilon_r=medium.epsilon_r, lines=medium.lines)
+
+
+def _two_evaluation_ledger(geom, medium, env, f, p_t) -> LinkBudget:
+    """The link budget composed from its own dielectric loss and kappa
+    evaluations, term for term as the ledger computes it."""
+    l_d = dielectric_path_loss(geom, f, medium.epsilon_r)
+    kappa = float(kappa_over_grid(medium, (f,), env)[0])
+    p_t_dbw, g_t_db, g_r_db = db(p_t), db(geom.g_t), db(geom.g_r)
+    permittivity_db = -db(medium.epsilon_r)
+    spreading_db = -db(l_d) - g_t_db - g_r_db - permittivity_db
+    absorption_db = -(10.0 / math.log(10.0)) * kappa * geom.d
+    return LinkBudget(
+        p_t_dbw=p_t_dbw, g_t_db=g_t_db, g_r_db=g_r_db,
+        permittivity_db=permittivity_db, spreading_db=spreading_db,
+        absorption_db=absorption_db,
+        p_r_dbw=(p_t_dbw + g_t_db + g_r_db + permittivity_db
+                 + spreading_db + absorption_db))
+
+
+class TestOneEvaluationPerPoint:
+    """link_budget_db is the ledger of total_path_loss's report, and the
+    medium keeps the report of the last point evaluated in it."""
+
+    def test_ledger_has_the_two_evaluation_bits(self):
+        scenario = load_scenario()
+        geom, env, p_t = scenario.geom, scenario.env, scenario.p_t
+        medium = _fresh(scenario.medium)
+        freqs = np.random.default_rng(32).uniform(1.0e12, 3.0e12, 2000)
+        for i, f in enumerate(freqs.tolist()):
+            if i % 2:  # after a path-loss query, as `thzlink pathloss` does
+                total_path_loss(geom, medium, env, f)
+            budget = link_budget_db(geom, medium, env, f, p_t)
+            assert _bits(budget) == _bits(
+                _two_evaluation_ledger(geom, medium, env, f, p_t)), f
+
+    def test_opaque_point_keeps_the_unsaturated_absorption_term(self):
+        # thzlink pathloss --frequency 1.5e12 --distance 0.02 --pressure 100
+        scenario = load_scenario()
+        geom = replace(scenario.geom, d=0.02)
+        env = replace(scenario.env, p=100.0)
+        medium, f = _fresh(scenario.medium), 1.5e12
+        report = total_path_loss(geom, medium, env, f)
+        budget = link_budget_db(geom, medium, env, f, scenario.p_t)
+        assert report.opaque
+        kappa = float(kappa_over_grid(medium, (f,), env)[0])
+        assert report.kappa == kappa
+        assert budget.absorption_db == -(10.0 / math.log(10.0)) * kappa * 0.02
+        assert budget.absorption_db < -report.l_a_db  # not the capped L_a
+
+    @pytest.mark.parametrize("change", ["h_t", "t_s", "d", "f", "medium"])
+    def test_a_call_differing_in_one_input_is_evaluated_afresh(
+            self, geom, env, water_medium, change):
+        medium, f = _fresh(water_medium), 1.21e12
+        first = total_path_loss(geom, medium, env, f)
+        args = {"geom": geom, "medium": medium, "env": env, "f": f,
+                "d": None}
+        if change == "h_t":
+            args["geom"] = replace(geom, h_t=geom.h_t / 2.0)
+        elif change == "t_s":
+            args["env"] = replace(env, t_s=env.t_s + 10.0)
+        elif change == "d":
+            args["d"] = geom.d / 2.0
+        elif change == "f":
+            args["f"] = float(np.nextafter(f, np.inf))
+        else:
+            args["medium"] = _fresh(medium)
+        second = total_path_loss(**args)
+        fresh = total_path_loss(**{**args, "medium": _fresh(medium)})
+        assert second is not first
+        assert _bits(second) == _bits(fresh)
+        if change != "medium":
+            assert _bits(fresh) != _bits(first)
+
+    def test_a_repeat_returns_the_kept_report(self, geom, env,
+                                              water_medium):
+        medium, f = _fresh(water_medium), 1.21e12
+        report = total_path_loss(geom, medium, env, f)
+        assert total_path_loss(geom, medium, env, f, d=geom.d) is report
+        link_budget_db(geom, medium, env, f, 1.0e-6)
+        assert total_path_loss(geom, medium, env, f) is report
+
+    def test_a_raising_call_keeps_nothing(self, geom, env, water_medium):
+        medium, f = _fresh(water_medium), 1.21e12
+        for _ in range(2):
+            with pytest.raises(TwoRayNullError):
+                total_path_loss(geom, medium, env, NULL_FREQUENCY)
+        report = total_path_loss(geom, medium, env, f)
+        with pytest.raises(TwoRayNullError):
+            link_budget_db(geom, medium, env, NULL_FREQUENCY, 1.0e-6)
+        assert total_path_loss(geom, medium, env, f) is report
+
+    def test_threads_on_shared_objects_match_a_serial_run(
+            self, geom, env, water_medium):
+        freqs = np.random.default_rng(33).uniform(1.0e12, 3.0e12, (4, 200))
+
+        def run(medium, row, out):
+            for f in row.tolist():
+                report = total_path_loss(geom, medium, env, f)
+                budget = link_budget_db(geom, medium, env, f, 1.0e-6)
+                out.append(_bits(report) + _bits(budget))
+
+        serial = [[] for _ in freqs]
+        medium = _fresh(water_medium)
+        for row, out in zip(freqs, serial):
+            run(medium, row, out)
+        threaded = [[] for _ in freqs]
+        medium = _fresh(water_medium)
+        workers = [threading.Thread(target=run, args=(medium, row, out))
+                   for row, out in zip(freqs, threaded)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1.0e-6)  # interleave within each query
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert threaded == serial
