@@ -39,8 +39,15 @@ _SWEEP_AXES = {
                     "set the temperature axis's frequencies with --freqs"),
     "pressure": ((20.0, 200.0), "p", "--freqs", "--pressure",
                  "set the pressure axis's frequencies with --freqs"),
-    "distance": ((1.0e-5, 1.0e-4), "d", None, "--distance",
+    "distance": ((1.0e-5, 1.0e-4), "d", "--allocation", "--distance",
                  "the distance axis uses the band set in --scenario"),
+}
+# the sweep flags that not every sweep reads: an unread one exits 1
+_SWEEP_READERS = {
+    "--distances": "only the frequency axis's path-loss sweep reads it",
+    "--freqs": "only the temperature and pressure axes read it",
+    "--metric": "only the frequency axis reads it",
+    "--allocation": "only the distance axis reads it",
 }
 AXIS_DEFAULTS = {axis: row[0] for axis, row in _SWEEP_AXES.items()}
 
@@ -116,12 +123,12 @@ def _build_parser() -> _Parser:
     p_sweep.add_argument("--log", action="store_true",
                          help="log-spaced axis samples")
     p_sweep.add_argument("--metric", choices=("pathloss", "capacity"),
-                         default="pathloss",
-                         help="metric for the frequency axis")
+                         help="metric for the frequency axis (default "
+                              "pathloss)")
     p_sweep.add_argument("--allocation",
                          choices=("waterfilling", "flat", "both"),
-                         default="both",
-                         help="allocation scheme(s) for the distance axis")
+                         help="allocation scheme(s) for the distance axis "
+                              "(default both)")
     p_sweep.add_argument("--distances", default=None,
                          help="comma-separated separations [m] for the "
                               "frequency path-loss sweep")
@@ -427,17 +434,20 @@ def render_table(result: SweepResult) -> str:
 
 def cmd_sweep(args) -> int:
     defaults, varies, list_flag, own_flag, source = _SWEEP_AXES[args.axis]
+    if varies == "f" and args.metric == "capacity":
+        varies, list_flag = "f_k", None
+    reads = {list_flag, "--metric" if args.axis == "frequency" else None}
     for flag, instead in (("--frequency", source), (own_flag, f"the "
-                          f"{args.axis} axis runs from --from to --to")):
+                          f"{args.axis} axis runs from --from to --to"),
+                          *((flag, why) for flag, why
+                            in _SWEEP_READERS.items() if flag not in reads)):
         if getattr(args, flag[2:]) is not None:
             raise ConfigError(f"sweep takes no {flag}: {instead}")
     scenario, _ = _load_run_config(args)
     lo, hi = (default if value is None else value for value, default
               in zip((args.axis_from, args.axis_to), defaults))
-    if varies == "f" and args.metric == "capacity":
-        varies, list_flag = "f_k", None
     text = getattr(args, list_flag[2:]) if list_flag else None
-    values = (args.allocation if varies == "d" else None if text is None
+    values = (text or "both" if varies == "d" else None if text is None
               else _parse_float_list(text, list_flag))
     blocks = _blocks(scenario, varies, (lo, hi), args.points, args.log,
                      values)

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import struct
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -281,15 +282,11 @@ def _weighted_poles(f, f_c, f4c, alpha2, weight, narrow, bounded,
     # f is a view of the caller's points, and never owns its data
     b = np.multiply(f, f4c, out=f if bounded and f.flags.owndata else None)
     b = np.add(b, dm, out=b if b.shape == dm.shape else None)
-    if bounded:
+    with nullcontext() if bounded else np.errstate(all="ignore"):
         terms = dm + b
-        dm *= b
-        terms /= dm
-    else:  # the two reciprocals where A.B is not normal
-        with np.errstate(all="ignore"):
-            terms = dm + b
-            b *= dm
-            terms /= b
+        b *= dm
+        terms /= b
+    if not bounded:  # the two reciprocals where A.B is not normal
         dp = f + f_c
         np.copyto(terms, 1.0 / dm + 1.0 / (dp * dp + alpha2),
                   where=~((b >= _TINY) & (b < np.inf)))

@@ -1,17 +1,18 @@
 """Spectroscopic line-catalog ingestion and medium composition.
 
 The line catalog is a text file of fixed-width 160-character records, one
-transition per line. Only eight fields are consumed (1-based columns):
+transition per line. Only eight fields are consumed:
 
-    molecule id        [1-2]    integer
-    isotopologue id    [3]      integer
-    wavenumber         [4-15]   cm^-1
-    intensity          [16-25]  cm^-1 / (molecule cm^-2)
-    air half-width     [36-40]  cm^-1 / atm
-    self half-width    [41-45]  cm^-1 / atm
-    temperature exp.   [56-59]  dimensionless
-    pressure shift     [60-67]  cm^-1 / atm
+    molecule id        integer
+    isotopologue id    integer
+    wavenumber         cm^-1
+    intensity          cm^-1 / (molecule cm^-2)
+    air half-width     cm^-1 / atm
+    self half-width    cm^-1 / atm
+    temperature exp.   dimensionless
+    pressure shift     cm^-1 / atm
 
+_FIELDS holds each one's columns, SI scale, written form and byte layout.
 All spectral quantities are converted to SI at ingestion (wavenumbers and
 pressure-normalized widths/shifts to Hz via 100*c, intensities to
 m^2 Hz/mol), so downstream formulas carry no unit patch factors.
@@ -52,36 +53,40 @@ INTENSITY_TO_SI = WAVENUMBER_TO_HZ * 1.0e-4 * AVOGADRO
 # Lines weaker than this (catalog intensity units) are dropped at ingestion.
 DEFAULT_INTENSITY_FLOOR = 1.0e-30
 
-# Consumed fields: name -> (1-based inclusive column span, type)
+# The record format, one row per consumed field in SpectralLine's order:
+# name -> (1-based inclusive column span, parse type, SpectralLine field,
+# SI scale (None: taken as read), written form (a format spec, or
+# _fixed_decimal's width and decimals), layout). A layout is what
+# serialize_line writes, a class per column: "d" a digit, "b" a blank or a
+# digit, "m" a minus or a digit, "s" a sign; other characters stand for
+# themselves. These are HITRAN's I2, I1, F12.6, E10.3, F5.4, F5.3, F4.2 and
+# F8.6, with _fixed_decimal's dropped zero.
 _FIELDS = {
-    "gas_id": ((1, 2), int),
-    "iso_id": ((3, 3), int),
-    "wavenumber": ((4, 15), float),
-    "intensity": ((16, 25), float),
-    "alpha_air": ((36, 40), float),
-    "alpha_self": ((41, 45), float),
-    "temp_exponent": ((56, 59), float),
-    "pressure_shift": ((60, 67), float),
+    "gas_id": ((1, 2), int, "gas_id", None, "2d", "bd"),
+    "iso_id": ((3, 3), int, "iso_id", None, "1d", "d"),
+    "wavenumber": ((4, 15), float, "f_c0", WAVENUMBER_TO_HZ, "12.6f",
+                   "bbbbd.dddddd"),
+    "intensity": ((16, 25), float, "line_intensity", INTENSITY_TO_SI,
+                  "10.3E", " d.dddEsdd"),
+    "alpha_air": ((36, 40), float, "alpha_air", WAVENUMBER_TO_HZ, (5, 4),
+                  ".dddd"),
+    "alpha_self": ((41, 45), float, "alpha_self", WAVENUMBER_TO_HZ, (5, 3),
+                   "d.ddd"),
+    "temp_exponent": ((56, 59), float, "temp_exponent", None, (4, 2),
+                      "m.dd"),
+    "pressure_shift": ((60, 67), float, "pressure_shift", WAVENUMBER_TO_HZ,
+                       (8, 6), "m.dddddd"),
 }
 
 # The consumed fields of one record, as a numpy record dtype over its bytes
 _RECORD = np.dtype({
     "names": list(_FIELDS),
-    "formats": [f"S{hi - lo + 1}" for (lo, hi), _ in _FIELDS.values()],
-    "offsets": [lo - 1 for (lo, _), _ in _FIELDS.values()],
+    "formats": [f"S{hi - lo + 1}" for (lo, hi), *_ in _FIELDS.values()],
+    "offsets": [lo - 1 for (lo, _), *_ in _FIELDS.values()],
     "itemsize": RECORD_WIDTH,
 })
-
-# What serialize_line writes in each consumed field, a class per column:
-# "d" a digit, "b" a blank or a digit, "m" a minus or a digit, "s" a sign;
-# other characters stand for themselves. These are HITRAN's I2, I1, F12.6,
-# E10.3, F5.4, F5.3, F4.2 and F8.6, with _fixed_decimal's dropped zero.
-_LAYOUT = {
-    "gas_id": "bd", "iso_id": "d", "wavenumber": "bbbbd.dddddd",
-    "intensity": " d.dddEsdd", "alpha_air": ".dddd", "alpha_self": "d.ddd",
-    "temp_exponent": "m.dd", "pressure_shift": "m.dddddd",
-}
-_COLUMNS = {name: slice(lo - 1, hi) for name, ((lo, hi), _) in _FIELDS.items()}
+_COLUMNS = {name: slice(lo - 1, hi)
+            for name, ((lo, hi), *_) in _FIELDS.items()}
 
 
 def _layout_table() -> np.ndarray:
@@ -89,8 +94,8 @@ def _layout_table() -> np.ndarray:
     classes = {"d": b"0123456789", "b": b" 0123456789",
                "m": b"-0123456789", "s": b"+-"}
     table = np.ones((max(c.stop for c in _COLUMNS.values()), 256), bool)
-    for name, layout in _LAYOUT.items():
-        for column, kind in enumerate(layout, start=_COLUMNS[name].start):
+    for (lo, _), *_, layout in _FIELDS.values():
+        for column, kind in enumerate(layout, start=lo - 1):
             table[column] = False
             table[column, list(classes.get(kind, kind.encode()))] = True
     return table.ravel()
@@ -169,20 +174,12 @@ class SpectralLine:
 def _si_fields(values: dict) -> dict:
     """SpectralLine's fields, in its order and in SI units, from the
     consumed fields of one record or the columns of many."""
-    return {
-        "gas_id": values["gas_id"],
-        "iso_id": values["iso_id"],
-        "f_c0": values["wavenumber"] * WAVENUMBER_TO_HZ,
-        "line_intensity": values["intensity"] * INTENSITY_TO_SI,
-        "alpha_air": values["alpha_air"] * WAVENUMBER_TO_HZ,
-        "alpha_self": values["alpha_self"] * WAVENUMBER_TO_HZ,
-        "temp_exponent": values["temp_exponent"],
-        "pressure_shift": values["pressure_shift"] * WAVENUMBER_TO_HZ,
-    }
+    return {attr: values[name] if scale is None else values[name] * scale
+            for name, (_, _, attr, scale, *_) in _FIELDS.items()}
 
 
 def _parse_field(record: str, name: str, line_number: int):
-    span, kind = _FIELDS[name]
+    span, kind, *_ = _FIELDS[name]
     raw = record[span[0] - 1:span[1]]
     text = raw.strip()
     if not text:
@@ -256,7 +253,7 @@ def _parse_columns(raw_text: str, wanted: set[tuple[int, int]],
     fields = np.ndarray((n,), _RECORD, data, strides=(stride,))
     try:
         values = {name: fields[name][rows].astype(kind)
-                  for name, (_, kind) in _FIELDS.items()}
+                  for name, (_, kind, *_) in _FIELDS.items()}
     except ValueError:
         return None
     si = _si_fields(values)
@@ -327,26 +324,14 @@ def serialize_line(line: SpectralLine) -> str:
     columns are blank. Re-parsing the result reproduces the line exactly.
     """
     record = [" "] * RECORD_WIDTH
-
-    def put(span, text):
-        lo, hi = span
-        width = hi - lo + 1
-        assert len(text) == width
+    for (lo, hi), _, attr, scale, written, _ in _FIELDS.values():
+        value = getattr(line, attr)
+        if scale is not None:
+            value = value / scale
+        text = (format(value, written) if isinstance(written, str)
+                else _fixed_decimal(value, *written))
+        assert len(text) == hi - lo + 1
         record[lo - 1:hi] = text
-
-    put(_FIELDS["gas_id"][0], f"{line.gas_id:2d}")
-    put(_FIELDS["iso_id"][0], f"{line.iso_id:1d}")
-    put(_FIELDS["wavenumber"][0], f"{line.f_c0 / WAVENUMBER_TO_HZ:12.6f}")
-    put(_FIELDS["intensity"][0],
-        f"{line.line_intensity / INTENSITY_TO_SI:10.3E}")
-    put(_FIELDS["alpha_air"][0],
-        _fixed_decimal(line.alpha_air / WAVENUMBER_TO_HZ, 5, 4))
-    put(_FIELDS["alpha_self"][0],
-        _fixed_decimal(line.alpha_self / WAVENUMBER_TO_HZ, 5, 3))
-    put(_FIELDS["temp_exponent"][0],
-        _fixed_decimal(line.temp_exponent, 4, 2))
-    put(_FIELDS["pressure_shift"][0],
-        _fixed_decimal(line.pressure_shift / WAVENUMBER_TO_HZ, 8, 6))
     return "".join(record)
 
 

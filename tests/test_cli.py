@@ -282,6 +282,43 @@ class TestSweep:
         assert err == (f"error: sweep takes no {flag}: the {axis} axis runs "
                        f"from --from to --to\n")
 
+    @pytest.mark.parametrize("sweep, flag, value", [
+        (("temperature",), "--distances", "1e-3"),
+        (("pressure",), "--distances", "1e-3"),
+        (("distance",), "--distances", "1e-3"),
+        (("frequency", "--metric", "capacity"), "--distances", "1e-3"),
+        (("frequency",), "--freqs", "1e12"),
+        (("frequency", "--metric", "capacity"), "--freqs", "1e12"),
+        (("distance",), "--freqs", "1e12"),
+        (("temperature",), "--metric", "pathloss"),
+        (("pressure",), "--metric", "capacity"),
+        (("distance",), "--metric", "pathloss"),
+        (("frequency",), "--allocation", "flat"),
+        (("frequency", "--metric", "capacity"), "--allocation", "both"),
+        (("temperature",), "--allocation", "waterfilling"),
+        (("pressure",), "--allocation", "both"),
+    ])
+    def test_flag_the_sweep_does_not_read_exits_1_and_names_it(
+            self, capsys, sweep, flag, value):
+        """A values flag that the axis and metric never read is an error
+        that names it and the sweeps that do read it, not ignored."""
+        readers = {"--distances": "the frequency axis's path-loss sweep reads",
+                   "--freqs": "the temperature and pressure axes read",
+                   "--metric": "the frequency axis reads",
+                   "--allocation": "the distance axis reads"}[flag]
+        err = one_error_line(*run(capsys, "sweep", "--axis", *sweep,
+                                  "--points", "5", flag, value))
+        assert err == f"error: sweep takes no {flag}: only {readers} it\n"
+
+    @pytest.mark.parametrize("axis, flag, default", [
+        ("frequency", "--metric", "pathloss"),
+        ("distance", "--allocation", "both")])
+    def test_sweep_flag_default_is_applied(self, capsys, axis, flag, default):
+        argv = ("sweep", "--axis", axis, "--points", "5")
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert run(capsys, *argv, flag, default) == (0, out, "")
+
     @pytest.mark.parametrize("axis", [
         ("--axis", "frequency"),
         ("--axis", "frequency", "--metric", "capacity"),
@@ -1110,8 +1147,9 @@ def float_lists(draw):
 @st.composite
 def cli_argvs(draw):
     """A pathloss, capacity or sweep command with a random mix of flags. A
-    sweep draws its axis first, and then neither --frequency nor the axis's
-    own override flag, which exit 1 before any sweep runs."""
+    sweep draws its axis first, and then neither --frequency, nor the axis's
+    own override flag, nor a values flag its axis and metric do not read,
+    which exit 1 before any sweep runs."""
     command = draw(st.sampled_from(["pathloss", "capacity", "sweep"]))
     argv = [command]
     not_taken = ["--from", "--to"]
@@ -1130,9 +1168,17 @@ def cli_argvs(draw):
         argv += ["--allocation", draw(st.sampled_from(["waterfilling",
                                                        "flat"]))]
     if command == "sweep":
-        optional = {"--log": [], "--metric": ["pathloss", "capacity"],
-                    "--allocation": ["waterfilling", "flat", "both"],
-                    "--distances": None, "--freqs": None}
+        # only the flags the sweep reads: any other exits 1 before it runs
+        optional = {"--log": []}
+        if axis == "frequency":
+            metric = draw(st.sampled_from([None, "pathloss", "capacity"]))
+            argv += ["--metric", metric] if metric else []
+            if metric != "capacity":
+                optional["--distances"] = None
+        elif axis == "distance":
+            optional["--allocation"] = ["waterfilling", "flat", "both"]
+        else:
+            optional["--freqs"] = None
         for flag in draw(st.lists(st.sampled_from(sorted(optional)),
                                   unique=True)):
             choices = optional[flag]

@@ -1,8 +1,9 @@
 import math
+import re
 import struct
 import tracemalloc
 import warnings
-from dataclasses import astuple, replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -357,7 +358,7 @@ FIELD_ALPHABET = " 0123456789+-.eE_infatyINFATY"
 def test_any_field_text_parses_as_the_reference(data):
     record = list(SMALL_CATALOG.split("\n")[0])
     name = data.draw(st.sampled_from(sorted(spectro._FIELDS)))
-    (lo, hi), _ = spectro._FIELDS[name]
+    (lo, hi), *_ = spectro._FIELDS[name]
     record[lo - 1:hi] = data.draw(st.text(FIELD_ALPHABET, min_size=hi - lo + 1,
                                           max_size=hi - lo + 1))
     text = SMALL_CATALOG + "".join(record)
@@ -370,7 +371,7 @@ def test_any_field_text_parses_as_the_reference(data):
 # a record of a species SMALL_WANTED lacks, as serialize_line writes it
 UNWANTED_RECORD = make_record(gas=12, iso=1, nu=12.5, s=3.2e-24, gair=0.0512,
                               gself=0.31, n=0.69, delta=-0.0013)
-CONSUMED_COLUMNS = sorted({column for (lo, hi), _ in spectro._FIELDS.values()
+CONSUMED_COLUMNS = sorted({column for (lo, hi), *_ in spectro._FIELDS.values()
                            for column in range(lo, hi + 1)})
 
 
@@ -407,6 +408,36 @@ def test_edited_unwanted_record_parses_as_the_reference(edits):
     for floor in (0.0, DEFAULT_INTENSITY_FLOOR):
         assert (_outcome(parse_line_catalog, text, wanted, floor)
                 == _outcome(spectro._parse_records, text, wanted, floor))
+
+
+# the bytes each class of a _FIELDS layout stands for
+LAYOUT_CLASSES = {"d": "0123456789", "b": " 0123456789", "m": "-0123456789",
+                  "s": "+-"}
+
+
+def test_record_format_table_rows_agree(full_catalog):
+    """The _FIELDS rows run in SpectralLine's field order, each layout is as
+    wide as its span, the skip table accepts in each consumed column just
+    its layout's bytes (any byte elsewhere), and serialize_line writes only
+    those bytes in each field, for the bundled lines and a seeded draw."""
+    assert [attr for _, _, attr, *_ in spectro._FIELDS.values()] == [
+        f.name for f in fields(SpectralLine)]
+    table = spectro._LAYOUT_OK.reshape(-1, 256)
+    assert len(table) == max(CONSUMED_COLUMNS)
+    assert all(table[column - 1].all() for column in range(1, len(table) + 1)
+               if column not in CONSUMED_COLUMNS)
+    records = ([serialize_line(line) for line in full_catalog]
+               + _seeded_catalog(20261022, 2000).splitlines())
+    for (lo, hi), *_, layout in spectro._FIELDS.values():
+        assert len(layout) == hi - lo + 1
+        accepted = [LAYOUT_CLASSES.get(kind, kind) for kind in layout]
+        for column, chars in enumerate(accepted, start=lo - 1):
+            assert bytes(np.flatnonzero(table[column]).tolist()) == (
+                chars.encode())
+        pattern = re.compile("".join(f"[{re.escape(chars)}]"
+                                     for chars in accepted))
+        for record in records:
+            assert pattern.fullmatch(record[lo - 1:hi]), (record, lo, hi)
 
 
 def test_blank_line_mid_file_is_skipped(catalog_text):
